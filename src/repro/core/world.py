@@ -37,12 +37,13 @@ from repro.errors import (
 from repro.core.coll_engine import CollEngine
 from repro.core.future import Future
 from repro.gasnet.am import ActiveMessage, handler_registry, make_reply
+from repro.gasnet.conduit import find_layer, layers
 from repro.gasnet.segment import Segment
 from repro.gasnet.smp import SmpConduit
 from repro.gasnet.stats import CommStats
+from repro.gasnet.trace import Observer
 from repro.telemetry import (
     MetricsSampler,
-    TelemetryConduit,
     WorldTelemetry,
     resolve_config as _resolve_telemetry,
     tracing,
@@ -568,7 +569,7 @@ class World:
         self._death_subs: list[Callable[[int, BaseException], None]] = []
         #: Observability state (histograms, flight recorder, spans) —
         #: see :mod:`repro.telemetry`.  Mode "off" records nothing and
-        #: installs no conduit wrapper.
+        #: installs no conduit layer.
         self.telemetry = WorldTelemetry(n_ranks, _resolve_telemetry(telemetry))
         conduit = conduit if conduit is not None else SmpConduit()
         #: Set by ReliableConduit.attach; consulted by the AM layer to
@@ -577,9 +578,8 @@ class World:
         if reliability is not None and reliability is not False:
             conduit = _wrap_reliable(conduit, reliability)
         if self.telemetry.enabled:
-            # Outermost layer: latencies include reliability retries, and
-            # inner layers' trace_control events reach the flight ring.
-            conduit = TelemetryConduit(conduit, self.telemetry)
+            # Outermost layer: latencies include reliability retries.
+            conduit = Observer(conduit, self.telemetry)
         self.conduit = conduit
         #: Conduit-installed hook (see ProcConduit.attach): flush any
         #: sender-side AM aggregation; called from every advance().
@@ -627,17 +627,29 @@ class World:
         fault injection and runtime reaction side by side.
         """
         extra = None
-        fault_events = getattr(self.conduit, "fault_events", None)
-        if callable(fault_events):
-            try:
-                extra = fault_events()
-            except Exception:
-                extra = None
+        for layer in layers(self.conduit):
+            fault_events = getattr(layer, "fault_events", None)
+            if callable(fault_events):
+                try:
+                    extra = fault_events()
+                except Exception:
+                    extra = None
+                break
         text = self.telemetry.dump_flight_recorder(header=header,
                                                    extra_events=extra)
         if file is not None:
             file.write(text)
         return text
+
+    def control_event(self, kind: str, src: int, dst: int,
+                      nbytes: int = 0, detail: str = "") -> None:
+        """Report a conduit-layer control event (``retransmit``,
+        ``dup_suppressed``, ``chaos_drop``, ``peer_dead``, ...) to every
+        observing sink — telemetry flight ring and active traces — once.
+        A no-op when nothing observes."""
+        obs = find_layer(self.conduit, Observer)
+        if obs is not None:
+            obs.control(kind, src, dst, nbytes, detail)
 
     def stop_sampler(self) -> None:
         if self._sampler is not None:

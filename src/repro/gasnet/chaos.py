@@ -20,8 +20,9 @@ state or deadlock directly on this conduit; the point is to run them
 through :class:`~repro.gasnet.reliability.ReliableConduit` wrapped around
 this one and prove the stack survives.  Injected events are counted in
 :class:`~repro.gasnet.stats.CommStats` (``chaos_drops``/``chaos_dups``/
-``chaos_reorders``/``chaos_faults``) and reported to an active
-:class:`~repro.gasnet.trace.Trace`.
+``chaos_reorders``/``chaos_faults``) and reported as control events
+(:meth:`~repro.core.world.World.control_event`) to telemetry and any
+active :class:`~repro.gasnet.trace.Trace`.
 """
 
 from __future__ import annotations
@@ -34,11 +35,11 @@ import numpy as np
 
 from repro.errors import PgasError, TransientCommError
 from repro.gasnet.am import ActiveMessage
-from repro.gasnet.conduit import Conduit
+from repro.gasnet.conduit import Conduit, Layer
 
 
-class ChaosConduit(Conduit):
-    """Conduit wrapper + seeded drop/dup/reorder/fault/partition injection.
+class ChaosConduit(Layer):
+    """Conduit layer + seeded drop/dup/reorder/fault/partition injection.
 
     Wraps any in-process backend (default: a fresh
     :class:`~repro.gasnet.smp.SmpConduit`), doing the fault roll once per
@@ -78,10 +79,7 @@ class ChaosConduit(Conduit):
                 f"(inner {type(inner).__name__} has "
                 f"in_process_hooks=False)"
             )
-        self._inner = inner
-        self.world = None
-        #: Test hook: when set, the next send_am raises (fault injection).
-        self.fail_next_am: Exception | None = None
+        super().__init__(inner)
         self.am_drop_rate = float(am_drop_rate)
         self.am_dup_rate = float(am_dup_rate)
         self.am_reorder_rate = float(am_reorder_rate)
@@ -107,18 +105,6 @@ class ChaosConduit(Conduit):
         self._held: dict[tuple[int, int], ActiveMessage] = {}
         self._killed: set[int] = set()
 
-    # -- lifecycle / capability forwarding ---------------------------------
-    @property
-    def caps(self):
-        return self._inner.caps
-
-    def attach(self, world) -> None:
-        self.world = world
-        self._inner.attach(world)
-
-    def close(self) -> None:
-        self._inner.close()
-
     # -- failure control ---------------------------------------------------
     def kill_rank(self, rank: int) -> None:
         """Sever ``rank``'s connectivity: every AM and RMA to or from it
@@ -131,18 +117,16 @@ class ChaosConduit(Conduit):
                 if rank not in k
             }
         self._log_fault("chaos_kill", rank, rank, "partitioned")
-        self._trace_control("chaos_kill", rank, rank, detail="partitioned")
-
-    def is_killed(self, rank: int) -> bool:
-        with self._chaos_lock:
-            return rank in self._killed
 
     # -- helpers -----------------------------------------------------------
     def _log_fault(self, kind: str, src: int, dst: int,
-                   detail: str = "") -> None:
+                   detail: str = "", nbytes: int = 0) -> None:
+        """Append to :attr:`fault_log` and report the control event."""
         self.fault_log.append(
             (time.monotonic() - self._t0, kind, src, dst, detail)
         )
+        if self.world is not None:
+            self.world.control_event(kind, src, dst, nbytes, detail)
 
     def fault_schedule(self) -> dict:
         """The run's injected-fault trace: ``{"seed", "faults"}`` where
@@ -164,17 +148,6 @@ class ChaosConduit(Conduit):
             for (t_rel, kind, src, dst, detail) in self.fault_log
         ]
 
-    def _trace_control(self, kind: str, src: int, dst: int,
-                       nbytes: int = 0, detail: str = "") -> None:
-        hook = None
-        if self.world is not None:
-            hook = getattr(self.world.conduit, "trace_control", None)
-        if hook is not None:
-            try:
-                hook(kind, src, dst, nbytes, detail)
-            except Exception:  # tracing must never break the transport
-                pass
-
     def _fault_point(self, kind: str, src: int, dst: int) -> str | None:
         """Roll the RMA fault dice; returns None | "pre" | "post".
 
@@ -191,19 +164,10 @@ class ChaosConduit(Conduit):
             when = "pre" if float(self._rng.random()) < 0.5 else "post"
         self._rank(src).stats.record_chaos_fault()
         self._log_fault("chaos_fault", src, dst, f"{kind}:{when}")
-        self._trace_control("chaos_fault", src, dst, detail=f"{kind}:{when}")
         return when
-
-    def _raise_fault(self, kind: str, src: int, dst: int, when: str):
-        raise TransientCommError(
-            f"chaos: transient {kind} fault {src}->{dst} ({when}-completion)"
-        )
 
     # -- active messages ---------------------------------------------------
     def send_am(self, src: int, dst: int, am: ActiveMessage) -> None:
-        if self.fail_next_am is not None:
-            exc, self.fail_next_am = self.fail_next_am, None
-            raise exc
         self._encode_and_record(src, am)
         if src == dst:  # loopback is reliable on any real transport
             self._inner.deliver_encoded(src, dst, am)
@@ -233,85 +197,30 @@ class ChaosConduit(Conduit):
                 to_deliver.append(held_prev)  # after its successor: reorder
         if dropped:
             self._rank(src).stats.record_chaos_drop()
-            self._log_fault("chaos_drop", src, dst, am.handler)
-            self._trace_control("chaos_drop", src, dst, am.wire_bytes,
-                                detail=am.handler)
+            self._log_fault("chaos_drop", src, dst, am.handler,
+                            am.wire_bytes)
         if duplicated:
             self._rank(src).stats.record_chaos_dup()
-            self._log_fault("chaos_dup", src, dst, am.handler)
-            self._trace_control("chaos_dup", src, dst, am.wire_bytes,
-                                detail=am.handler)
+            self._log_fault("chaos_dup", src, dst, am.handler,
+                            am.wire_bytes)
         if held_now:
             self._rank(src).stats.record_chaos_reorder()
-            self._log_fault("chaos_reorder", src, dst, am.handler)
-            self._trace_control("chaos_reorder", src, dst, am.wire_bytes,
-                                detail=am.handler)
+            self._log_fault("chaos_reorder", src, dst, am.handler,
+                            am.wire_bytes)
         for m in to_deliver:
             self._inner.deliver_encoded(src, dst, m)
 
-    # -- one-sided RMA -----------------------------------------------------
-    def rma_put(self, src: int, dst: int, offset: int,
-                data: np.ndarray) -> None:
-        when = self._fault_point("put", src, dst)
-        if when == "pre":
-            self._raise_fault("put", src, dst, when)
-        self._inner.rma_put(src, dst, offset, data)
-        if when == "post":
-            self._raise_fault("put", src, dst, when)
-
-    def rma_get(self, src: int, dst: int, offset: int,
-                dtype: np.dtype, count: int) -> np.ndarray:
-        when = self._fault_point("get", src, dst)
-        if when == "pre":
-            self._raise_fault("get", src, dst, when)
-        out = self._inner.rma_get(src, dst, offset, dtype, count)
-        if when == "post":
-            self._raise_fault("get", src, dst, when)
+    # -- one-sided RMA: every op may fault before or after it applies --
+    def around(self, op, src, dst, nbytes, call, detail=""):
+        kind = op[4:]  # "put", "get", "atomic", "put_indexed", ...
+        when = self._fault_point(kind, src, dst)
+        out = call() if when != "pre" else None
+        if when is not None:
+            # A "post" fault: the op applied but its completion is lost.
+            # A naive retry of an atomic would double-apply — exactly
+            # what the reliability layer's op-id guard must prevent.
+            raise TransientCommError(
+                f"chaos: transient {kind} fault {src}->{dst} "
+                f"({when}-completion)"
+            )
         return out
-
-    def rma_atomic(self, src: int, dst: int, offset: int,
-                   dtype: np.dtype, op, operand):
-        when = self._fault_point("atomic", src, dst)
-        if when == "pre":
-            self._raise_fault("atomic", src, dst, when)
-        old = self._inner.rma_atomic(src, dst, offset, dtype, op, operand)
-        if when == "post":
-            # The update applied; the "completion" is lost.  A naive
-            # retry would double-apply — exactly what the reliability
-            # layer's op-id guard must prevent.
-            self._raise_fault("atomic", src, dst, when)
-        return old
-
-    # -- indexed bulk RMA --------------------------------------------------
-    def rma_put_indexed(self, src: int, dst: int, base: int,
-                        elem_offsets: np.ndarray, data: np.ndarray) -> None:
-        when = self._fault_point("put_indexed", src, dst)
-        if when == "pre":
-            self._raise_fault("put_indexed", src, dst, when)
-        self._inner.rma_put_indexed(src, dst, base, elem_offsets, data)
-        if when == "post":
-            self._raise_fault("put_indexed", src, dst, when)
-
-    def rma_get_indexed(self, src: int, dst: int, base: int,
-                        dtype: np.dtype, elem_offsets: np.ndarray
-                        ) -> np.ndarray:
-        when = self._fault_point("get_indexed", src, dst)
-        if when == "pre":
-            self._raise_fault("get_indexed", src, dst, when)
-        out = self._inner.rma_get_indexed(src, dst, base, dtype, elem_offsets)
-        if when == "post":
-            self._raise_fault("get_indexed", src, dst, when)
-        return out
-
-    def rma_atomic_batch(self, src: int, dst: int, base: int,
-                         dtype: np.dtype, elem_offsets: np.ndarray,
-                         op, operands, return_old: bool = False):
-        when = self._fault_point("atomic_batch", src, dst)
-        if when == "pre":
-            self._raise_fault("atomic_batch", src, dst, when)
-        old = self._inner.rma_atomic_batch(
-            src, dst, base, dtype, elem_offsets, op, operands, return_old
-        )
-        if when == "post":
-            self._raise_fault("atomic_batch", src, dst, when)
-        return old

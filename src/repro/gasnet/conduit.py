@@ -15,13 +15,26 @@ A conduit moves bytes and active messages between ranks.  Its contracts:
   them; conduits able to do better (the SMP conduit's fancy-indexed
   single-lock implementation) override them.
 
-The FIFO and exactly-once guarantees are what the *runtime* relies on;
-a conduit that cannot provide them natively (e.g.
-:class:`~repro.gasnet.chaos.ChaosConduit`, which drops/duplicates/
-reorders and raises :class:`~repro.errors.TransientCommError` from RMA)
-must be wrapped in :class:`~repro.gasnet.reliability.ReliableConduit`,
-which restores the contract with sequence numbers, acks/retransmit,
-bounded RMA retry, and op-id-guarded exactly-once atomics.
+Those seven operations are the whole contract.  A *backend*
+(:class:`~repro.gasnet.smp.SmpConduit`,
+:class:`~repro.gasnet.proc.ProcConduit`) implements them; a
+:class:`Layer` wraps another conduit and intercepts them.  Layers stack,
+outermost first::
+
+    Observer -> ReliableConduit -> ChaosConduit | DelayConduit -> backend
+
+The :class:`~repro.gasnet.trace.Observer` (telemetry and traces) is
+outermost, so it sees what the application experienced, retries
+included; :class:`~repro.gasnet.reliability.ReliableConduit` restores
+FIFO and exactly-once delivery over the fault-injecting layers beneath
+it.  With telemetry off and no active ``Trace`` no layer is installed
+and ``world.conduit`` is the backend itself.
+
+Writing a layer: subclass :class:`Layer` and override :meth:`Layer.around`
+to intercept every op in one place, or :meth:`Layer.send_am` for
+AM-specific behaviour; the rest passes through to the inner conduit.
+Events that never cross the seven-op surface (a retransmit, an injected
+drop) are reported with :meth:`repro.core.world.World.control_event`.
 """
 
 from __future__ import annotations
@@ -43,7 +56,7 @@ class ConduitCaps:
     """Capability flags a conduit advertises to the runtime and to tests.
 
     The backend factory (:mod:`repro.gasnet.backends`) and the fault
-    wrappers consult these instead of isinstance checks, so new backends
+    layers consult these instead of isinstance checks, so new backends
     compose with the existing stack by declaring what they can do.
     """
 
@@ -55,7 +68,7 @@ class ConduitCaps:
     #: backend (thread simulation or a real process exit).
     supports_kill_rank: bool = True
     #: Chaos/delay fault injection can hook delivery in-process.  False
-    #: for cross-process transports, where the wrapper would only see
+    #: for cross-process transports, where the layer would only see
     #: one rank's side of the wire.
     in_process_hooks: bool = True
     #: RMA reads/writes the target segment with no serialization and no
@@ -75,7 +88,7 @@ class Conduit(abc.ABC):
 
     world: "World | None" = None
     #: Default capability set (in-process, full-featured); backends
-    #: override the class attribute, wrappers forward the inner one.
+    #: override the class attribute, layers forward the inner one.
     caps: ConduitCaps = ConduitCaps()
 
     def attach(self, world: "World") -> None:
@@ -120,7 +133,7 @@ class Conduit(abc.ABC):
         """Transport an AM whose frame was already encoded and whose
         stats were already recorded.
 
-        This is the raw delivery primitive the fault wrappers
+        This is the raw delivery primitive the fault layers
         (:class:`~repro.gasnet.chaos.ChaosConduit`,
         :class:`~repro.gasnet.delay.DelayConduit`) use: they do the
         encode/record once per *send decision* and then hand zero, one,
@@ -201,3 +214,122 @@ class Conduit(abc.ABC):
                 src, dst, base + int(off) * dtype.itemsize, dtype, fn, ops[k]
             )
         return old if return_old else None
+
+
+class Layer(Conduit):
+    """A conduit that wraps another conduit (``_inner``).
+
+    The seven ops are written out here once as pass-throughs, each routed
+    through :meth:`around`; ``caps``, :meth:`attach`, :meth:`close` and
+    :meth:`deliver_encoded` forward to the inner conduit.  A subclass
+    overrides :meth:`around` to wrap every op in one place and/or
+    :meth:`send_am` for AM-specific behaviour.  Attributes of an inner
+    layer are reached with :func:`find_layer`, not by forwarding.
+    """
+
+    def __init__(self, inner: Conduit):
+        self._inner = inner
+        self.world = inner.world
+
+    @property
+    def caps(self) -> ConduitCaps:
+        return self._inner.caps
+
+    def attach(self, world: "World") -> None:
+        self.world = world
+        self._inner.attach(world)
+
+    def close(self) -> None:
+        self._inner.close()
+
+    def deliver_encoded(self, src: int, dst: int,
+                        am: ActiveMessage) -> None:
+        self._inner.deliver_encoded(src, dst, am)
+
+    def around(self, op: str, src: int, dst: int, nbytes: int, call,
+               detail: str = ""):
+        """Run ``call()`` — the inner conduit's ``op`` from ``src`` to
+        ``dst`` moving ``nbytes`` — and return its result.
+
+        ``op`` is the method name (``"send_am"``, ``"rma_put"``, ...);
+        ``detail`` is the AM handler name or ``"<n> elems"`` for the
+        indexed ops.  The default adds nothing."""
+        return call()
+
+    def splice_out(self, world: "World") -> None:
+        """Remove this layer from ``world``'s conduit stack, wherever it
+        sits, leaving every other layer in place; a no-op when the layer
+        is no longer in the stack."""
+        if world.conduit is self:
+            world.conduit = self._inner
+            return
+        for node in layers(world.conduit):
+            if isinstance(node, Layer) and node._inner is self:
+                node._inner = self._inner
+                return
+
+    # -- the seven ops, passed through ``around`` -------------------------
+    def send_am(self, src: int, dst: int, am: ActiveMessage) -> None:
+        self.around("send_am", src, dst, am.wire_bytes,
+                    lambda: self._inner.send_am(src, dst, am),
+                    am.handler)
+
+    def rma_put(self, src: int, dst: int, offset: int,
+                data: np.ndarray) -> None:
+        self.around("rma_put", src, dst, np.asarray(data).nbytes,
+                    lambda: self._inner.rma_put(src, dst, offset, data))
+
+    def rma_get(self, src: int, dst: int, offset: int,
+                dtype: np.dtype, count: int) -> np.ndarray:
+        return self.around(
+            "rma_get", src, dst, np.dtype(dtype).itemsize * count,
+            lambda: self._inner.rma_get(src, dst, offset, dtype, count))
+
+    def rma_atomic(self, src: int, dst: int, offset: int,
+                   dtype: np.dtype, op, operand):
+        return self.around(
+            "rma_atomic", src, dst, np.dtype(dtype).itemsize,
+            lambda: self._inner.rma_atomic(src, dst, offset, dtype, op,
+                                           operand))
+
+    def rma_put_indexed(self, src: int, dst: int, base: int,
+                        elem_offsets: np.ndarray, data: np.ndarray) -> None:
+        self.around(
+            "rma_put_indexed", src, dst, np.asarray(data).nbytes,
+            lambda: self._inner.rma_put_indexed(src, dst, base,
+                                                elem_offsets, data),
+            f"{np.asarray(elem_offsets).size} elems")
+
+    def rma_get_indexed(self, src: int, dst: int, base: int,
+                        dtype: np.dtype, elem_offsets: np.ndarray
+                        ) -> np.ndarray:
+        n = np.asarray(elem_offsets).size
+        return self.around(
+            "rma_get_indexed", src, dst, np.dtype(dtype).itemsize * n,
+            lambda: self._inner.rma_get_indexed(src, dst, base, dtype,
+                                                elem_offsets),
+            f"{n} elems")
+
+    def rma_atomic_batch(self, src: int, dst: int, base: int,
+                         dtype: np.dtype, elem_offsets: np.ndarray,
+                         op, operands, return_old: bool = False):
+        n = np.asarray(elem_offsets).size
+        return self.around(
+            "rma_atomic_batch", src, dst, np.dtype(dtype).itemsize * n,
+            lambda: self._inner.rma_atomic_batch(
+                src, dst, base, dtype, elem_offsets, op, operands,
+                return_old),
+            f"{n} elems")
+
+
+def layers(conduit: Conduit):
+    """Yield ``conduit`` and every conduit beneath it, outermost first."""
+    while conduit is not None:
+        yield conduit
+        conduit = conduit._inner if isinstance(conduit, Layer) else None
+
+
+def find_layer(conduit: Conduit, cls: type):
+    """The outermost conduit in ``conduit``'s stack that is a ``cls``, or
+    None."""
+    return next((c for c in layers(conduit) if isinstance(c, cls)), None)

@@ -29,11 +29,11 @@ import warnings
 import numpy as np
 
 from repro.gasnet.am import ActiveMessage
-from repro.gasnet.conduit import Conduit
+from repro.gasnet.conduit import Conduit, Layer
 
 
-class DelayConduit(Conduit):
-    """Conduit wrapper + randomized, FIFO-preserving delivery delay.
+class DelayConduit(Layer):
+    """Conduit layer + randomized, FIFO-preserving delivery delay.
 
     Wraps any conduit (default: a fresh
     :class:`~repro.gasnet.smp.SmpConduit`): the delay is applied on the
@@ -50,10 +50,7 @@ class DelayConduit(Conduit):
             from repro.gasnet.smp import SmpConduit
 
             inner = SmpConduit()
-        self._inner = inner
-        self.world = None
-        #: Test hook: when set, the next send_am raises (fault injection).
-        self.fail_next_am: Exception | None = None
+        super().__init__(inner)
         self.base_delay = base_delay
         self.jitter = jitter
         self._rng = np.random.default_rng(seed)
@@ -69,44 +66,9 @@ class DelayConduit(Conduit):
         )
         self._dispatcher.start()
 
-    # -- lifecycle / capability forwarding ---------------------------------
-    @property
-    def caps(self):
-        return self._inner.caps
-
-    def attach(self, world) -> None:
-        self.world = world
-        self._inner.attach(world)
-
-    # -- one-sided RMA (pass-through) --------------------------------------
-    def rma_put(self, src, dst, offset, data):
-        return self._inner.rma_put(src, dst, offset, data)
-
-    def rma_get(self, src, dst, offset, dtype, count):
-        return self._inner.rma_get(src, dst, offset, dtype, count)
-
-    def rma_atomic(self, src, dst, offset, dtype, op, operand):
-        return self._inner.rma_atomic(src, dst, offset, dtype, op, operand)
-
-    def rma_put_indexed(self, src, dst, base, elem_offsets, data):
-        return self._inner.rma_put_indexed(src, dst, base, elem_offsets,
-                                           data)
-
-    def rma_get_indexed(self, src, dst, base, dtype, elem_offsets):
-        return self._inner.rma_get_indexed(src, dst, base, dtype,
-                                           elem_offsets)
-
-    def rma_atomic_batch(self, src, dst, base, dtype, elem_offsets,
-                         op, operands, return_old=False):
-        return self._inner.rma_atomic_batch(
-            src, dst, base, dtype, elem_offsets, op, operands, return_old
-        )
-
-    # -- conduit surface ---------------------------------------------------
+    # -- active messages ---------------------------------------------------
     def send_am(self, src: int, dst: int, am: ActiveMessage) -> None:
-        if self.fail_next_am is not None:
-            exc, self.fail_next_am = self.fail_next_am, None
-            raise exc
+        self._rank(dst)  # a bad destination fails here, not in delivery
         self._encode_and_record(src, am)
         delay = self.base_delay + float(self._rng.random()) * self.jitter
         with self._lock:
@@ -140,8 +102,15 @@ class DelayConduit(Conduit):
                 due, _seq, dst, am = heapq.heappop(self._heap)
             try:
                 self._inner.deliver_encoded(am.src_rank, dst, am)
-            except Exception:  # world torn down mid-flight
-                return
+            except Exception as exc:
+                # Report and go on: one failed delivery (e.g. the world
+                # torn down mid-flight) must not strand every later
+                # message behind a dead dispatcher.
+                warnings.warn(
+                    f"DelayConduit: dropped AM {am.handler!r} "
+                    f"{am.src_rank}->{dst}: {exc!r}",
+                    RuntimeWarning, stacklevel=1,
+                )
 
     def close(self) -> None:
         """Stop the dispatcher and drain undelivered messages.

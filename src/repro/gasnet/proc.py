@@ -511,12 +511,9 @@ class ProcConduit(SegmentRma, Conduit):
     caps = PROC_CAPS
 
     def __init__(self, fabric: ProcFabric, rank: int):
-        self.world = None
         self.fabric = fabric
         self.local_rank = rank
         self.transport = fabric.transport
-        #: Test hook: when set, the next send_am raises (fault injection).
-        self.fail_next_am: Exception | None = None
         peers = [r for r in range(fabric.n_ranks) if r != rank]
         self._socks = fabric.mesh_for(rank)
         self._send_locks = {p: threading.Lock() for p in peers}
@@ -654,9 +651,6 @@ class ProcConduit(SegmentRma, Conduit):
 
     # -- active messages -------------------------------------------------
     def send_am(self, src: int, dst: int, am: ActiveMessage) -> None:
-        if self.fail_next_am is not None:
-            exc, self.fail_next_am = self.fail_next_am, None
-            raise exc
         frame = self._encode_and_record(src, am)
         if dst == self.local_rank:
             self._rank(dst).deliver(am)  # loopback: no wire

@@ -34,8 +34,9 @@ Mechanisms
 
 Retry/dup/timeout counts land in :class:`~repro.gasnet.stats.CommStats`
 (``am_retransmits``/``dup_ams``/``acks_sent``/``rma_retries``/
-``op_timeouts``/``heartbeats_sent``) and in an active
-:class:`~repro.gasnet.trace.Trace` as control events.
+``op_timeouts``/``heartbeats_sent``) and are reported as control
+events (:meth:`~repro.core.world.World.control_event`) to telemetry and
+any active :class:`~repro.gasnet.trace.Trace`.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from repro.errors import (
 )
 from repro.gasnet.am import ActiveMessage, am_handler
 from repro.gasnet.atomics import resolve_scalar
-from repro.gasnet.conduit import Conduit
+from repro.gasnet.conduit import Conduit, Layer
 
 
 @dataclass
@@ -117,7 +118,7 @@ def _control_am(handler: str, src: int, aux: int = 0) -> ActiveMessage:
     return ActiveMessage(handler=handler, src_rank=src, aux=aux)
 
 
-class ReliableConduit(Conduit):
+class ReliableConduit(Layer):
     """Wrap any conduit with sequencing, acks/retransmit, bounded RMA
     retry, exactly-once atomics, per-op deadlines, and a heartbeat
     failure detector.
@@ -133,13 +134,12 @@ class ReliableConduit(Conduit):
 
     def __init__(self, inner: Conduit,
                  config: ReliabilityConfig | None = None, **overrides):
-        self._inner = inner
+        super().__init__(inner)
         if config is None:
             config = ReliabilityConfig(**overrides)
         elif overrides:
             raise ValueError("pass either a config or keyword overrides")
         self.cfg = config
-        self.world = None
         self._rng = np.random.default_rng(config.seed)
         self._rng_lock = threading.Lock()
         # sender state
@@ -160,8 +160,7 @@ class ReliableConduit(Conduit):
 
     # -- lifecycle ---------------------------------------------------------
     def attach(self, world) -> None:
-        self.world = world
-        self._inner.attach(world)
+        super().attach(world)
         world._reliable = self
         now = time.monotonic()
         self._last_heard = {r: now for r in range(world.n_ranks)}
@@ -180,20 +179,6 @@ class ReliableConduit(Conduit):
             self._monitor = None
         self._inner.close()
 
-    def __getattr__(self, name):
-        # Delegate extras (fail_next_am, kill_rank, ...) to the inner
-        # conduit so test hooks keep working through the wrapper.
-        if name.startswith("__"):
-            raise AttributeError(name)
-        return getattr(self.__dict__["_inner"], name)
-
-    @property
-    def caps(self):
-        # The Conduit base class defines ``caps`` as a class attribute,
-        # which would shadow __getattr__ delegation — forward explicitly
-        # so capability checks see through the wrapper.
-        return self._inner.caps
-
     # -- helpers -----------------------------------------------------------
     def _deadline_for(self, now: float) -> float:
         limit = self.cfg.op_deadline
@@ -210,17 +195,6 @@ class ReliableConduit(Conduit):
     def _note_alive(self, rank: int) -> None:
         self._last_heard[rank] = time.monotonic()
 
-    def _trace_control(self, kind: str, src: int, dst: int,
-                       nbytes: int = 0, detail: str = "") -> None:
-        hook = None
-        if self.world is not None:
-            hook = getattr(self.world.conduit, "trace_control", None)
-        if hook is not None:
-            try:
-                hook(kind, src, dst, nbytes, detail)
-            except Exception:
-                pass
-
     def _check_peer(self, dst: int, what: str) -> None:
         if dst in self._dead_peers:
             raise PeerFailure(dst, RankDead(
@@ -235,7 +209,7 @@ class ReliableConduit(Conduit):
         if rank in self._dead_peers:
             return
         self._dead_peers.add(rank)
-        self._trace_control("peer_dead", rank, rank, detail=str(exc))
+        self.world.control_event("peer_dead", rank, rank, detail=str(exc))
         world = self.world
         with self._tx_lock:
             doomed = [e for k, e in self._unacked.items() if e.dst == rank]
@@ -247,7 +221,7 @@ class ReliableConduit(Conduit):
     def _fail_pending(self, world, e: _PendingAm,
                       exc: BaseException) -> None:
         world.ranks[e.src].stats.record_dead_peer_fastfail()
-        self._trace_control(
+        world.control_event(
             "dead_peer_fastfail", e.src, e.dst,
             detail=f"{e.inner.handler} seq={e.seq}",
         )
@@ -277,10 +251,9 @@ class ReliableConduit(Conduit):
             # Fail fast instead of queueing for a peer that can never
             # ack: token AMs get an immediate RankDead error reply,
             # fire-and-forget AMs are dropped.
-            if self.world is not None:
-                self.world.ranks[src].stats.record_dead_peer_fastfail()
-            self._trace_control("dead_peer_fastfail", src, dst,
-                                detail=am.handler)
+            self.world.ranks[src].stats.record_dead_peer_fastfail()
+            self.world.control_event("dead_peer_fastfail", src, dst,
+                                     detail=am.handler)
             if am.token is not None and not am.is_reply:
                 err = ActiveMessage(
                     handler="__reply__", src_rank=dst,
@@ -330,8 +303,8 @@ class ReliableConduit(Conduit):
             buf = self._rx_buf.setdefault(key, {})
             if seq < nxt or seq in buf:
                 ctx.stats.record_dup_am()
-                self._trace_control("dup_suppressed", src, dst,
-                                    detail=f"seq={seq}")
+                self.world.control_event("dup_suppressed", src, dst,
+                                         detail=f"seq={seq}")
                 return
             buf[seq] = env.payload
             ready: list[ActiveMessage] = []
@@ -383,7 +356,7 @@ class ReliableConduit(Conduit):
                       cfg.rto_max)
             e.next_at = now + rto * self._jitter()
             world.ranks[e.src].stats.record_am_retransmit()
-            self._trace_control(
+            self.world.control_event(
                 "retransmit", e.src, e.dst, e.env.wire_bytes,
                 detail=f"{e.inner.handler} seq={e.seq} try={e.attempts}",
             )
@@ -420,7 +393,7 @@ class ReliableConduit(Conduit):
             f"{e.src}->{e.dst} seq {e.seq} still unacked after "
             f"{e.attempts} retransmits; giving up"
         )
-        self._trace_control("op_timeout", e.src, e.dst, detail=diag)
+        self.world.control_event("op_timeout", e.src, e.dst, detail=diag)
         if e.inner.token is not None and not e.inner.is_reply:
             # Delivered directly (never encoded): _handle accepts plain
             # frameless AMs alongside thawed wire frames.
@@ -503,14 +476,12 @@ class ReliableConduit(Conduit):
                 return attempt_fn()
             except TransientCommError as exc:
                 attempts += 1
-                if self.world is not None:
-                    self.world.ranks[src].stats.record_rma_retry()
-                self._trace_control("rma_retry", src, dst,
-                                    detail=f"{what} try={attempts}")
+                self.world.ranks[src].stats.record_rma_retry()
+                self.world.control_event("rma_retry", src, dst,
+                                         detail=f"{what} try={attempts}")
                 now = time.monotonic()
                 if attempts > cfg.max_retries or now >= deadline:
-                    if self.world is not None:
-                        self.world.ranks[src].stats.record_op_timeout()
+                    self.world.ranks[src].stats.record_op_timeout()
                     raise CommTimeout(
                         f"reliable conduit: {what} {src}->{dst} failed "
                         f"after {attempts} retries "
@@ -520,38 +491,10 @@ class ReliableConduit(Conduit):
                             cfg.rto_max)
                 time.sleep(delay * self._jitter())
 
-    def rma_put(self, src: int, dst: int, offset: int,
-                data: np.ndarray) -> None:
-        self._retry_rma(
-            lambda: self._inner.rma_put(src, dst, offset, data),
-            src=src, dst=dst, what=f"rma_put[{offset}]",
-        )
-
-    def rma_get(self, src: int, dst: int, offset: int,
-                dtype: np.dtype, count: int) -> np.ndarray:
-        return self._retry_rma(
-            lambda: self._inner.rma_get(src, dst, offset, dtype, count),
-            src=src, dst=dst, what=f"rma_get[{offset}]",
-        )
-
-    def rma_put_indexed(self, src: int, dst: int, base: int,
-                        elem_offsets: np.ndarray, data: np.ndarray) -> None:
-        self._retry_rma(
-            lambda: self._inner.rma_put_indexed(
-                src, dst, base, elem_offsets, data
-            ),
-            src=src, dst=dst, what=f"rma_put_indexed[{base}]",
-        )
-
-    def rma_get_indexed(self, src: int, dst: int, base: int,
-                        dtype: np.dtype, elem_offsets: np.ndarray
-                        ) -> np.ndarray:
-        return self._retry_rma(
-            lambda: self._inner.rma_get_indexed(
-                src, dst, base, dtype, elem_offsets
-            ),
-            src=src, dst=dst, what=f"rma_get_indexed[{base}]",
-        )
+    def around(self, op, src, dst, nbytes, call, detail=""):
+        # Puts, gets and their indexed forms are idempotent: retry them
+        # blindly.  The atomics override their ops below.
+        return self._retry_rma(call, src=src, dst=dst, what=op)
 
     # -- atomics: exactly-once under retry ---------------------------------
     #

@@ -10,9 +10,6 @@ the conduit itself: any backend whose world maps *every* rank's segment
 into the calling process (threads over one heap, or processes over
 ``multiprocessing.shared_memory``) reuses it unchanged — which is what
 keeps the process conduit's RMA zero-copy.
-
-Optional fault injection (:attr:`SmpConduit.fail_next_am`) lets tests
-exercise the failure-propagation paths without contriving real crashes.
 """
 
 from __future__ import annotations
@@ -84,16 +81,8 @@ class SegmentRma:
 class SmpConduit(SegmentRma, Conduit):
     """Threads-as-ranks conduit (the default real executor)."""
 
-    def __init__(self) -> None:
-        self.world = None
-        #: Test hook: when set, the next send_am raises (fault injection).
-        self.fail_next_am: Exception | None = None
-
     # -- active messages ------------------------------------------------
     def send_am(self, src: int, dst: int, am: ActiveMessage) -> None:
-        if self.fail_next_am is not None:
-            exc, self.fail_next_am = self.fail_next_am, None
-            raise exc
         target = self._rank(dst)
         self._encode_and_record(src, am)
         target.deliver(am)

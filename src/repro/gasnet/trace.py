@@ -9,10 +9,11 @@ A :class:`Trace` records every conduit operation of a world —
   sent exactly its 6 face neighbours, nothing else");
 * feeding per-benchmark traces to the DES for replay.
 
-Implementation: a decorating conduit installed around the world's
-conduit for the duration of a ``with`` block.  Tracing is cooperative
-and cheap (one list append per op), but not free — keep it out of
-timed regions.
+Implementation: the trace joins the world's :class:`Observer` layer
+(installing one outermost for the ``with`` block when telemetry has not
+already), so an op is timed and sized once however many sinks listen.
+Tracing is cooperative and cheap (one list append per op), but not free
+— keep it out of timed regions.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 from repro.gasnet.am import ActiveMessage
+from repro.gasnet.conduit import Layer, find_layer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.world import World
@@ -48,96 +50,77 @@ class TraceEvent:
     detail: str = ""  # AM handler name, dtype, ...
 
 
-class _TracingConduit:
-    """Decorator around the world's real conduit."""
+class Observer(Layer):
+    """The outermost layer: times and sizes each conduit op once and feeds
+    every sink — the world's telemetry (latency histograms in ``"full"``
+    mode, the initiator's flight ring) and each active :class:`Trace`.
 
-    def __init__(self, inner, trace: "Trace"):
-        self._inner = inner
-        self._trace = trace
-        self.world = inner.world
+    The world installs one when telemetry is on; a :class:`Trace` joins
+    the existing one or installs its own for the ``with`` block.
+    Telemetry histogram and flight names are the op names (``rma_put``,
+    ``send_am``, ...; AMs fly as ``am``/``reply``); trace kinds drop the
+    ``rma_`` prefix (``put``, ``get``, ..., ``am``, ``reply``).
+    """
 
-    def attach(self, world) -> None:  # pragma: no cover - defensive
-        self._inner.attach(world)
-        self.world = world
+    def __init__(self, inner, telemetry=None):
+        super().__init__(inner)
+        #: The world's :class:`~repro.telemetry.recorder.WorldTelemetry`,
+        #: or None when only traces are listening.
+        self.telemetry = telemetry
+        #: Active traces; replaced (never mutated) on enter/exit.
+        self.traces: tuple[Trace, ...] = ()
 
-    # conduit surface ------------------------------------------------------
+    def _emit(self, name: str, kind: str, src: int, dst: int,
+              nbytes: int, detail: str, t0: float) -> None:
+        if self.telemetry is not None:
+            tel = self.telemetry.ranks[src]
+            if tel.full:
+                tel.histogram(name).record_seconds(time.perf_counter() - t0)
+            tel.flight_event(kind, src, dst, nbytes, detail)
+        if self.traces:
+            kind = kind.removeprefix("rma_")
+            for trace in self.traces:
+                trace._record(kind, src, dst, nbytes, detail, t=t0)
+
     def send_am(self, src: int, dst: int, am: ActiveMessage) -> None:
-        self._trace._record(
-            "reply" if am.is_reply else "am", src, dst, am.wire_bytes,
-            detail=am.handler,
-        )
-        self._inner.send_am(src, dst, am)
+        # The size is read after the send, once the backend has encoded
+        # the frame (with its telemetry) — sizing first would encode it
+        # here without.
+        t0 = time.perf_counter()
+        try:
+            self._inner.send_am(src, dst, am)
+        finally:
+            self._emit("send_am", "reply" if am.is_reply else "am", src,
+                       dst, am.wire_bytes, am.handler, t0)
 
-    def rma_put(self, src: int, dst: int, offset: int, data) -> None:
-        nbytes = np.asarray(data).nbytes
-        self._trace._record("put", src, dst, nbytes)
-        self._inner.rma_put(src, dst, offset, data)
+    def around(self, op, src, dst, nbytes, call, detail=""):
+        t0 = time.perf_counter()
+        try:
+            return call()
+        finally:
+            self._emit(op, op, src, dst, nbytes, detail, t0)
 
-    def rma_get(self, src: int, dst: int, offset: int, dtype, count):
-        nbytes = np.dtype(dtype).itemsize * count
-        self._trace._record("get", src, dst, nbytes)
-        return self._inner.rma_get(src, dst, offset, dtype, count)
+    def control(self, kind: str, src: int, dst: int, nbytes: int = 0,
+                detail: str = "") -> None:
+        """Record a control event (retransmit, dup suppression, injected
+        chaos, peer death, ...) once in every sink."""
+        tel = self.telemetry
+        if tel is not None and 0 <= src < len(tel.ranks):
+            tel.ranks[src].flight_event(kind, src, dst, nbytes, detail)
+        for trace in self.traces:
+            trace._record(kind, src, dst, nbytes, detail)
 
-    def rma_atomic(self, src: int, dst: int, offset: int, dtype, op,
-                   operand):
-        self._trace._record("atomic", src, dst,
-                            np.dtype(dtype).itemsize)
-        return self._inner.rma_atomic(src, dst, offset, dtype, op,
-                                      operand)
 
-    def rma_put_indexed(self, src: int, dst: int, base: int,
-                        elem_offsets, data) -> None:
-        arr = np.asarray(data)
-        self._trace._record("put_indexed", src, dst, arr.nbytes,
-                            detail=f"{np.asarray(elem_offsets).size} elems")
-        self._inner.rma_put_indexed(src, dst, base, elem_offsets, data)
-
-    def rma_get_indexed(self, src: int, dst: int, base: int, dtype,
-                        elem_offsets):
-        n = np.asarray(elem_offsets).size
-        self._trace._record("get_indexed", src, dst,
-                            np.dtype(dtype).itemsize * n,
-                            detail=f"{n} elems")
-        return self._inner.rma_get_indexed(src, dst, base, dtype,
-                                           elem_offsets)
-
-    def rma_atomic_batch(self, src: int, dst: int, base: int, dtype,
-                         elem_offsets, op, operands,
-                         return_old: bool = False):
-        n = np.asarray(elem_offsets).size
-        self._trace._record("atomic_batch", src, dst,
-                            np.dtype(dtype).itemsize * n,
-                            detail=f"{n} elems")
-        return self._inner.rma_atomic_batch(
-            src, dst, base, dtype, elem_offsets, op, operands, return_old
-        )
-
-    def trace_control(self, kind: str, src: int, dst: int,
-                      nbytes: int = 0, detail: str = "") -> None:
-        """Record a reliability/chaos control event (retransmission, dup
-        suppression, injected drop, ...).  Inner conduits discover this
-        hook via ``getattr(world.conduit, "trace_control", None)`` so
-        control traffic shows up in traces even though it never crosses
-        the decorated surface.  Forwarded down the decorator chain so a
-        stacked consumer (another Trace, the telemetry flight recorder)
-        sees the event too."""
-        self._trace._record(kind, src, dst, nbytes, detail=detail)
-        fwd = getattr(self._inner, "trace_control", None)
-        if fwd is not None:
-            try:
-                fwd(kind, src, dst, nbytes, detail)
-            except Exception:  # tracing must never break the transport
-                pass
-
-    def __getattr__(self, name):  # delegate the rest (fail_next_am, ...)
-        return getattr(self._inner, name)
+#: Serializes Trace enter/exit, which read-modify-write the stack and
+#: an observer's trace tuple.
+_install_lock = threading.Lock()
 
 
 class Trace:
     """Context manager recording a world's communication.
 
     Collective discipline is the caller's business: installing/removing
-    the tracing conduit swaps one attribute and is safe while other
+    the observer layer swaps one attribute and is safe while other
     ranks communicate, but for meaningful traces bracket the region
     with barriers (see tests).
 
@@ -153,13 +136,14 @@ class Trace:
         self.events: list[TraceEvent] = []
         self._lock = threading.Lock()
         self._t0 = 0.0
-        self._installed = False
-        self._wrapper: _TracingConduit | None = None
+        self._observer: Observer | None = None
 
     def _record(self, kind: str, src: int, dst: int, nbytes: int,
-                detail: str = "") -> None:
+                detail: str = "", t: float | None = None) -> None:
+        if t is None:
+            t = time.perf_counter()
         ev = TraceEvent(
-            t=time.perf_counter() - self._t0, kind=kind, src=src,
+            t=t - self._t0, kind=kind, src=src,
             dst=dst, nbytes=nbytes, detail=detail,
         )
         with self._lock:
@@ -167,35 +151,29 @@ class Trace:
 
     # -- lifecycle ----------------------------------------------------------
     def __enter__(self) -> "Trace":
-        if self._installed:
-            raise RuntimeError("trace already active")
-        self._t0 = time.perf_counter()
-        self._wrapper = _TracingConduit(self.world.conduit, self)
-        self.world.conduit = self._wrapper
-        self._installed = True
+        with _install_lock:
+            if self._observer is not None:
+                raise RuntimeError("trace already active")
+            self._t0 = time.perf_counter()
+            obs = find_layer(self.world.conduit, Observer)
+            if obs is None:
+                obs = Observer(self.world.conduit)
+                self.world.conduit = obs
+            obs.traces = obs.traces + (self,)
+            self._observer = obs
         return self
 
     def __exit__(self, *exc) -> None:
-        # Splice out *our* wrapper, wherever it now sits.  Popping
-        # ``world.conduit._inner`` unconditionally would unwind whatever
-        # decorator happens to be outermost — wrong if another layer was
-        # installed inside the ``with`` block.  Idempotent: exiting twice
-        # (e.g. after an exception already triggered cleanup) is a no-op.
-        wrapper, self._wrapper = self._wrapper, None
-        self._installed = False
-        if wrapper is None:
-            return
-        node = self.world.conduit
-        if node is wrapper:
-            self.world.conduit = wrapper._inner
-            return
-        while node is not None:
-            inner = getattr(node, "_inner", None)
-            if inner is wrapper:
-                node._inner = wrapper._inner
+        # Leave the observer; splice it out (wherever it now sits — other
+        # layers may have been installed around it meanwhile) once no
+        # sink is left.  Idempotent: a second exit is a no-op.
+        with _install_lock:
+            obs, self._observer = self._observer, None
+            if obs is None:
                 return
-            node = inner
-        # Wrapper no longer in the chain (someone else removed it): done.
+            obs.traces = tuple(t for t in obs.traces if t is not self)
+            if not obs.traces and obs.telemetry is None:
+                obs.splice_out(self.world)
 
     # -- queries ---------------------------------------------------------------
     def select(self, kind: str | None = None, src: int | None = None,

@@ -12,8 +12,9 @@ package gives the runtime the instruments to answer that on live runs:
   (and on demand via ``world.dump_flight_recorder()``);
 * :mod:`~repro.telemetry.perfetto` — Chrome/Perfetto ``trace_event``
   export of traces + spans (ranks as pids);
-* :class:`TelemetryConduit` — the decorating conduit that feeds all of
-  the above.
+* the conduit-boundary samples come from the world's
+  :class:`~repro.gasnet.trace.Observer` layer, which feeds all of the
+  above.
 
 Enable per world::
 
@@ -21,12 +22,11 @@ Enable per world::
     repro.spmd(body, ranks=4,
                telemetry={"mode": "flight", "flight_capacity": 512})
 
-The default is ``"off"``: no conduit wrapper is installed and the hot
+The default is ``"off"``: no conduit layer is installed and the hot
 paths are unchanged.
 """
 
 from repro.telemetry import tracing
-from repro.telemetry.conduit import TelemetryConduit
 from repro.telemetry.flight import FlightEvent, FlightRecorder, merge_dump
 from repro.telemetry.histogram import LogHistogram
 from repro.telemetry.metrics import (
@@ -58,7 +58,6 @@ __all__ = [
     "RankTelemetry",
     "WorldTelemetry",
     "resolve_config",
-    "TelemetryConduit",
     "to_perfetto",
     "write_perfetto",
     "tracing",

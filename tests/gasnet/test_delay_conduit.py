@@ -214,3 +214,57 @@ def test_close_idempotent_after_normal_run():
     assert not conduit._dispatcher.is_alive()   # spmd closed it
     conduit.close()                             # second close is harmless
     assert conduit.pending_messages == 0
+
+
+# ------------------------------------------------------ bad destinations
+
+def test_bad_destination_raises_at_sender():
+    """An out-of-range destination raises PgasError at the sender, as on
+    the SMP conduit, instead of failing later on the dispatcher thread
+    and stranding every AM queued behind it."""
+    from repro.core.world import current
+    from repro.errors import PgasError
+    from repro.gasnet.am import ActiveMessage
+
+    def body():
+        ctx = current()
+        if ctx.rank == 0:
+            with pytest.raises(PgasError, match="out of range"):
+                ctx.world.conduit.send_am(
+                    0, 99, ActiveMessage(handler="noop", src_rank=0))
+        repro.barrier()
+        repro.barrier()
+        return True
+
+    conduit = DelayConduit(base_delay=0.0005, jitter=0.0)
+    assert all(repro.spmd(body, ranks=2, conduit=conduit, timeout=10))
+
+
+def test_failed_delivery_does_not_kill_dispatcher():
+    """One delivery that raises is reported and skipped; the AMs behind
+    it still arrive (here: every barrier after the failed message)."""
+    from repro.core.world import current
+    from repro.errors import PgasError
+    from repro.gasnet.am import ActiveMessage
+
+    conduit = DelayConduit(base_delay=0.0005, jitter=0.0)
+    deliver = conduit._inner.deliver_encoded
+
+    def flaky(src, dst, am):
+        if am.handler == "noop":
+            raise PgasError("injected delivery failure")
+        deliver(src, dst, am)
+
+    conduit._inner.deliver_encoded = flaky
+
+    def body():
+        ctx = current()
+        if ctx.rank == 0:
+            ctx.world.conduit.send_am(
+                0, 1, ActiveMessage(handler="noop", src_rank=0))
+        for _ in range(3):
+            repro.barrier()
+        return True
+
+    with pytest.warns(RuntimeWarning, match="injected delivery failure"):
+        assert all(repro.spmd(body, ranks=2, conduit=conduit, timeout=10))

@@ -5,6 +5,7 @@ import pytest
 
 import repro
 from repro.errors import PgasError
+from repro.gasnet.conduit import Layer
 from tests.conftest import run_spmd
 
 
@@ -82,13 +83,18 @@ def test_atomic_xor_is_consistent_under_contention():
     assert res[0] == expect
 
 
+class _FailingSend(Layer):
+    def send_am(self, src, dst, am):
+        raise RuntimeError("injected NIC failure")
+
+
 def test_fault_injection_fails_the_world():
     def body():
         me = repro.myrank()
         repro.barrier()
         if me == 0:
-            conduit = repro.current_world().conduit
-            conduit.fail_next_am = RuntimeError("injected NIC failure")
+            world = repro.current_world()
+            world.conduit = _FailingSend(world.conduit)
             repro.async_(1)(int, 1)  # send_am raises on rank 0
         repro.barrier()
 

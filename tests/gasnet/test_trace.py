@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.gasnet.conduit import Layer
 from repro.gasnet.trace import Trace
 from tests.conftest import run_spmd
 
@@ -112,17 +113,6 @@ def test_trace_uninstalls_cleanly():
     assert all(run_spmd(body, ranks=2))
 
 
-class _Passthrough:
-    """A minimal decorating conduit, as another subsystem would install."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.world = inner.world
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
 def test_trace_exit_restores_exact_conduit():
     """Exiting a Trace must splice out *its own* wrapper — not blindly
     pop the outermost layer, which may belong to someone else by then."""
@@ -135,12 +125,12 @@ def test_trace_exit_restores_exact_conduit():
             original = world.conduit
             trace = Trace(world)
             with trace:
-                # Another decorator lands *inside* the with block and
+                # A foreign layer lands *inside* the with block and
                 # stays installed after it.
-                deco = _Passthrough(world.conduit)
+                deco = Layer(world.conduit)
                 world.conduit = deco
                 sa[1] = 1
-            # The foreign decorator survives; the tracing layer is gone
+            # The foreign layer survives; the tracing layer is gone
             # from underneath it.
             assert world.conduit is deco
             assert deco._inner is original
@@ -242,8 +232,8 @@ def test_trace_matrix_and_partners_filter_by_kind():
 
 
 def test_control_events_reach_trace_through_reliable_chaos():
-    """retransmit/dup_suppressed/chaos_* control events climb from the
-    inner layers to the outermost conduit's ``trace_control`` hook."""
+    """retransmit/dup_suppressed/chaos_* control events raised by the
+    inner layers reach the trace through ``World.control_event``."""
     from repro.gasnet import ChaosConduit
 
     def body():
@@ -278,30 +268,31 @@ def test_control_events_reach_trace_through_reliable_chaos():
     assert kinds & {"chaos_drop", "chaos_dup", "chaos_reorder"}
 
 
-def test_trace_control_forwards_down_the_chain():
-    """A stacked consumer below a Trace still receives control events
-    (the telemetry flight recorder relies on this)."""
+def test_control_event_reaches_every_sink_once():
+    """One control event lands once in each trace and once in the
+    initiator's telemetry flight ring, however many sinks listen."""
     def body():
         me = repro.myrank()
         repro.barrier()
         if me == 0:
             world = repro.current_world()
-            seen = []
-
-            class _Sink(_Passthrough):
-                def trace_control(self, kind, src, dst, nbytes=0,
-                                  detail=""):
-                    seen.append(kind)
-
-            original = world.conduit
-            world.conduit = _Sink(original)
-            trace = Trace(world)
-            with trace:
-                world.conduit.trace_control("retransmit", 0, 1)
-            assert trace.count(kind="retransmit") == 1
-            assert seen == ["retransmit"]
-            world.conduit = original
+            first, second = Trace(world), Trace(world)
+            with first, second:
+                world.control_event("retransmit", 0, 1, detail="x")
+            assert first.count(kind="retransmit") == 1
+            assert second.count(kind="retransmit") == 1
+            flight = [ev for ev in world.telemetry.rank(0).flight.snapshot()
+                      if ev.kind == "retransmit"]
+            assert len(flight) == 1
         repro.barrier()
+        return True
+
+    assert all(run_spmd(body, ranks=2, telemetry="flight"))
+
+
+def test_control_event_without_observer_is_a_noop():
+    def body():
+        repro.current_world().control_event("retransmit", 0, 1)
         return True
 
     assert all(run_spmd(body, ranks=2))

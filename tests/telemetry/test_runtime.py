@@ -7,9 +7,11 @@ import pytest
 import repro
 from repro.core.world import current
 from repro.errors import CommTimeout
-from repro.gasnet import ChaosConduit, ReliableConduit
+from repro.gasnet import ChaosConduit, ReliableConduit, SmpConduit
 from repro.gasnet.am import am_handler
-from repro.telemetry import TelemetryConduit, TelemetryConfig, resolve_config
+from repro.gasnet.conduit import layers
+from repro.gasnet.trace import Observer
+from repro.telemetry import TelemetryConfig, resolve_config
 from tests.conftest import run_spmd
 
 
@@ -32,10 +34,10 @@ def test_resolve_config_forms():
 
 def test_off_mode_installs_no_wrapper():
     """The zero-overhead guarantee is structural: with telemetry off the
-    conduit stack is byte-identical to a pre-telemetry world."""
+    world talks to the backend itself, with no layer in between."""
     def body():
         world = repro.current_world()
-        assert not isinstance(world.conduit, TelemetryConduit)
+        assert type(world.conduit) is SmpConduit
         assert not world.telemetry.enabled
         ctx = current()
         assert not ctx.telemetry.active and not ctx.telemetry.full
@@ -46,12 +48,12 @@ def test_off_mode_installs_no_wrapper():
 
 
 def test_full_mode_wraps_outside_reliability():
-    """TelemetryConduit must be outermost so recorded latencies include
-    the reliability layer's retries and backoff."""
+    """The observer must be outermost so recorded latencies include the
+    reliability layer's retries and backoff."""
     def body():
         world = repro.current_world()
-        assert isinstance(world.conduit, TelemetryConduit)
-        assert isinstance(world.conduit._inner, ReliableConduit)
+        stack = [type(c) for c in layers(world.conduit)]
+        assert stack == [Observer, ReliableConduit, SmpConduit]
         repro.barrier()
         return True
 
