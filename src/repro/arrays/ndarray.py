@@ -412,7 +412,7 @@ def _pack(src: NdArray, dom: RectDomain) -> np.ndarray:
     """Gather ``dom`` from ``src`` wherever it lives."""
     ctx = current()
     if src.rank == ctx.rank:
-        ctx.stats.record_local()
+        ctx.stats.add(local_accesses=1)
         return _pack_local(ctx, src, dom)
     fut = ctx.send_am(
         src.rank, "nd_pack", args=(src, dom), expect_reply=True
@@ -425,7 +425,7 @@ def _unpack(dst: NdArray, dom: RectDomain, block: np.ndarray) -> None:
     """Scatter a block into ``dst`` wherever it lives."""
     ctx = current()
     if dst.rank == ctx.rank:
-        ctx.stats.record_local()
+        ctx.stats.add(local_accesses=1)
         _unpack_local(ctx, dst, dom, block)
         return
     fut = ctx.send_am(

@@ -258,8 +258,8 @@ def print_fig3() -> None:
                 local_ops = trace.count()
                 sa[1] = 1   # element 1: remote (rank 1)
             remote_ops = trace.count() - local_ops
-            stats = repro.current_world().ranks[0].stats
-            report = (local_ops, remote_ops, stats.local_accesses)
+            stats = repro.current_world().ranks[0].stats.snapshot()
+            report = (local_ops, remote_ops, stats["local_accesses"])
         repro.barrier()
         return report
 

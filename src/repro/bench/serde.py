@@ -41,8 +41,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 import repro
+from repro.gasnet.am import am_handler
 from repro.gasnet.stats import aggregate
-from repro.gasnet.wire import set_force_pickle
+from repro.gasnet.wire import bind_handler, set_force_pickle
 
 
 @dataclass
@@ -96,6 +97,17 @@ def _kv_values(n: int, seed: int = 0) -> list:
             for s in rng.integers(8 << 10, (64 << 10) + 1, size=n)]
 
 
+@am_handler("serde_echo")
+def _serde_echo(ctx, am) -> None:
+    """Ping-pong target: acknowledge the ``{i: ndarray}`` request with
+    its item count, so only the request carries the bulk value."""
+    ctx.reply(am, args=(len(am.payload),))
+
+
+# The request rides the fixed-layout kv put-batch codec, as a kv_put
+# batch of the same shape would.
+bind_handler("serde_echo", "kv_items")
+
 #: Ping-pong payload element count (float64 -> 256 KiB): big enough
 #: that serialization cost dominates the thread-wakeup RTT noise.
 PINGPONG_ELEMS = 32768
@@ -115,8 +127,8 @@ def _phase_body(iters, kv_keys, seed):
         arr = np.arange(PINGPONG_ELEMS, dtype=np.float64)
         for i in range(iters):
             t0 = time.perf_counter()
-            fut = ctx.send_am(1, "kv_put", args=(10 ** 9,),
-                              payload={i: arr}, expect_reply=True)
+            fut = ctx.send_am(1, "serde_echo", payload={i: arr},
+                              expect_reply=True)
             fut.get()
             send_lat.append((time.perf_counter() - t0) * 1e6)
     repro.barrier()

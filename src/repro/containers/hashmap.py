@@ -301,7 +301,7 @@ def _promote(ctx: RankState, map_id: int, st: dict, sid: int,
     nb = (_pick_backup(ctx, ctx.rank, {ctx.rank})
           if st["replicas"] else None)
     sh["backup"] = nb
-    ctx.stats.record_kv_promotion()
+    ctx.stats.add(kv_promotions=1)
     tel = ctx.telemetry
     if tel.active:
         tel.flight_event(
@@ -360,7 +360,7 @@ def _replicate(ctx: RankState, map_id: int, st: dict, sid: int,
         fut = ctx.send_am(backup, "kv_repl",
                           args=(map_id, sid, sh["repl_epoch"]),
                           payload=records, expect_reply=True)
-        ctx.stats.record_kv_repl(len(records))
+        ctx.stats.add(kv_repl_records=len(records))
         try:
             fut.get()
             return
@@ -394,7 +394,7 @@ def _get_state_shard(ctx: RankState, map_id: int, sid: int,
             else:
                 raise KvRedirect(sid, sh["primary"])
         else:
-            ctx.stats.record_kv_replica_read()
+            ctx.stats.add(kv_replica_reads=1)
     return st, sh
 
 
@@ -648,7 +648,7 @@ def _kv_migrate_handler(ctx: RankState, am) -> None:
     new_re = sh["repl_epoch"] + 1
     st["shards"].pop(sid, None)
     st["moved"][sid] = to
-    ctx.stats.record_kv_migration()
+    ctx.stats.add(kv_migrations=1)
     if ctx.telemetry.active:
         ctx.telemetry.flight_event(
             "kv_migrate", src=ctx.rank, dst=to, detail=f"shard {sid}")
@@ -885,7 +885,7 @@ class DistHashMap:
         clock and counters on the first call of an op."""
         if t_fail is None:
             t_fail = time.perf_counter()
-            ctx.stats.record_kv_failover()
+            ctx.stats.add(kv_failovers=1)
             self.failovers += 1
             if ctx.telemetry.active:
                 ctx.telemetry.flight_event(
@@ -1018,7 +1018,7 @@ class DistHashMap:
         t0 = time.perf_counter() if tel.full else 0.0
         sid = shard_of(key, self.nshards)
         self._drain_deaths()
-        ctx.stats.record_kv_put()
+        ctx.stats.add(kv_puts=1)
         if self._local_primary(ctx, sid) is not None:
             try:
                 with ctx._handler_lock:
@@ -1028,7 +1028,7 @@ class DistHashMap:
                         epoch = _apply_put(sh, {key: _copy(value)})
                         _replicate(ctx, self.map_id, st, sid, sh,
                                    [("put", {key: value}, epoch)])
-                        ctx.stats.record_local()
+                        ctx.stats.add(local_accesses=1)
                         self._note_epoch(sid, epoch)
                         if tel.full:
                             tel.record_latency(
@@ -1057,7 +1057,7 @@ class DistHashMap:
         tel = ctx.telemetry
         t0 = time.perf_counter() if tel.full else 0.0
         sid = shard_of(key, self.nshards)
-        ctx.stats.record_kv_get()
+        ctx.stats.add(kv_gets=1)
         self._drain_deaths()
         # Local fast path: a hosted primary — or, with read_replicas, a
         # hosted backup copy — serves the read without touching the
@@ -1073,9 +1073,8 @@ class DistHashMap:
                              or self.read_replicas):
                     present = key in sh["store"]
                     val = _copy(sh["store"][key]) if present else None
-                    if sh["role"] != "primary":
-                        ctx.stats.record_kv_replica_read()
-                    ctx.stats.record_local()
+                    ctx.stats.add(local_accesses=1, kv_replica_reads=int(
+                        sh["role"] != "primary"))
                     if tel.full:
                         tel.record_latency(
                             "kv_get", time.perf_counter() - t0)
@@ -1088,7 +1087,7 @@ class DistHashMap:
             cached = self._cache[sid]
             if key in cached:
                 self.cache_hits += 1
-                ctx.stats.record_kv_cache(True)
+                ctx.stats.add(kv_cache_hits=1)
                 if tel.full:
                     tel.record_latency("kv_get",
                                        time.perf_counter() - t0)
@@ -1098,7 +1097,7 @@ class DistHashMap:
                 # conduit, the owner's store).
                 return _copy(cached[key])
             self.cache_misses += 1
-            ctx.stats.record_kv_cache(False)
+            ctx.stats.add(kv_cache_misses=1)
         if tel.active:
             tel.flight_event("kv_get", src=ctx.rank,
                              dst=self._table.get(sid, (sid, None))[0],
@@ -1126,7 +1125,7 @@ class DistHashMap:
         ctx = current()
         sid = shard_of(key, self.nshards)
         self._drain_deaths()
-        ctx.stats.record_kv_delete()
+        ctx.stats.add(kv_deletes=1)
         if self._local_primary(ctx, sid) is not None:
             try:
                 with ctx._handler_lock:
@@ -1137,7 +1136,7 @@ class DistHashMap:
                         if n:
                             _replicate(ctx, self.map_id, st, sid, sh,
                                        [("del", [key], epoch)])
-                        ctx.stats.record_local()
+                        ctx.stats.add(local_accesses=1)
                         self._note_epoch(sid, epoch)
                         return n > 0
             except KvStalePrimary:
@@ -1174,7 +1173,7 @@ class DistHashMap:
         op_id = next(self._op_seq)
         has_default = default is not _MISSING
         self._drain_deaths()
-        ctx.stats.record_kv_update()
+        ctx.stats.add(kv_updates=1)
         if self._local_primary(ctx, sid) is not None:
             try:
                 with ctx._handler_lock:
@@ -1194,7 +1193,7 @@ class DistHashMap:
                                 [("upd", key, new, ctx.rank, op_id,
                                   epoch)])
                         new = _copy(new)
-                        ctx.stats.record_local()
+                        ctx.stats.add(local_accesses=1)
                         self._note_epoch(sid, epoch)
                         if tel.full:
                             tel.record_latency(
@@ -1282,9 +1281,8 @@ class DistHashMap:
                 with ctx._handler_lock:
                     present = k in sh["store"]
                     val = _copy(sh["store"][k]) if present else None
-                if sh["role"] != "primary":
-                    ctx.stats.record_kv_replica_read()
-                ctx.stats.record_local()
+                ctx.stats.add(local_accesses=1, kv_replica_reads=int(
+                    sh["role"] != "primary"))
                 if present:
                     out[pos] = val
                 else:
@@ -1293,14 +1291,14 @@ class DistHashMap:
                 continue
             if self._cache_enabled and k in self._cache[sid]:
                 self.cache_hits += 1
-                ctx.stats.record_kv_cache(True)
+                ctx.stats.add(kv_cache_hits=1)
                 out[pos] = _copy(self._cache[sid][k])
                 continue
             if self._cache_enabled:
                 self.cache_misses += 1
-                ctx.stats.record_kv_cache(False)
+                ctx.stats.add(kv_cache_misses=1)
             key_pos.setdefault(k, []).append(pos)
-        ctx.stats.record_kv_get(len(keys))
+        ctx.stats.add(kv_gets=len(keys))
         pending = list(key_pos)
         first_round = True
         attempt = 0
@@ -1310,7 +1308,8 @@ class DistHashMap:
             groups = self._group_by_target(ctx, pending)
             if first_round:
                 first_round = False
-                ctx.stats.record_kv_multi(len(groups), len(pending))
+                ctx.stats.add(kv_multi_ops=len(groups),
+                              kv_batched_keys=len(pending))
                 if tel.active:
                     tel.flight_event(
                         "kv_multi_get", src=ctx.rank, dst=-1,
@@ -1404,7 +1403,7 @@ class DistHashMap:
         data: dict = {}
         for k, v in pairs:
             data[k] = v  # within one batch the last write wins
-        ctx.stats.record_kv_put(len(pairs))
+        ctx.stats.add(kv_puts=len(pairs))
         st = _map_state(ctx, self.map_id)
         by_sid: dict[int, dict] = {}
         for k, v in data.items():
@@ -1425,7 +1424,7 @@ class DistHashMap:
                         applied = True
                         _replicate(ctx, self.map_id, stt, sid, sh,
                                    [("put", chunk, epoch)])
-                        ctx.stats.record_local(len(chunk))
+                        ctx.stats.add(local_accesses=len(chunk))
                         self._note_epoch(sid, epoch)
             except KvStalePrimary:
                 applied = False  # deposed: re-send through the wire path
@@ -1440,7 +1439,8 @@ class DistHashMap:
             groups = self._group_by_target(ctx, pending)
             if first_round:
                 first_round = False
-                ctx.stats.record_kv_multi(len(groups), len(pending))
+                ctx.stats.add(kv_multi_ops=len(groups),
+                              kv_batched_keys=len(pending))
                 if tel.active:
                     tel.flight_event(
                         "kv_multi_put", src=ctx.rank, dst=-1,

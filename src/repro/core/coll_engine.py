@@ -130,7 +130,7 @@ class _Collective:
 
     def send_wire(self, dst_index: int, tag, payload) -> None:
         ctx = self.eng.ctx
-        ctx.stats.record_coll_msg()
+        ctx.stats.add(coll_msgs=1)
         ctx.send_am(
             self.members[dst_index], COLL_AM,
             args=(self.key[0], self.key[1], self.kind, tag, self.my_index),
@@ -535,7 +535,7 @@ class CollEngine:
             seq = self.next_seq(team_key)
             key = (team_key, seq)
             st = coll_cls(self, key, members, **params)
-            ctx.stats.record_collective()
+            ctx.stats.add(collectives=1)
             tel = ctx.telemetry
             if tel.active:
                 tel.flight_event(

@@ -122,7 +122,7 @@ def barrier(team: Team | None = None) -> None:
     """Block until every participant has entered (paper's barrier())."""
     ctx = current()
     _wait(barrier_async(team), "barrier")
-    ctx.stats.record_barrier()
+    ctx.stats.add(barriers=1)
 
 
 def bcast_async(value: Any = None, root: int = 0,

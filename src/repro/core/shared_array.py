@@ -169,7 +169,7 @@ class SharedArray:
         if owner_of(i, self.block, nranks) == ctx.rank:
             slab = self._local_slab(ctx)
             if slab is not None:
-                ctx.stats.record_local()
+                ctx.stats.add(local_accesses=1)
                 return slab[local_offset_of(i, self.block, nranks)]
         return self.gptr(i)[0]
 
@@ -181,7 +181,7 @@ class SharedArray:
         if owner_of(i, self.block, nranks) == ctx.rank:
             slab = self._local_slab(ctx)
             if slab is not None:
-                ctx.stats.record_local()
+                ctx.stats.add(local_accesses=1)
                 slab[local_offset_of(i, self.block, nranks)] = value
                 return
         self.gptr(i)[0] = value

@@ -124,7 +124,7 @@ class DistWorkQueue:
         victim = candidates[int(self._rng.integers(0, len(candidates)))]
         self.steals_attempted += 1
         if tel.active:
-            tel.metrics.counter("wq_steals_attempted").inc()
+            ctx.stats.add(wq_steals_attempted=1)
         t0 = time.perf_counter()
         fut = ctx.send_am(victim, "wq_steal", args=(self.qid,),
                           expect_reply=True)
@@ -143,7 +143,7 @@ class DistWorkQueue:
         self.steals_successful += 1
         if tel.active:
             # the metrics sampler derives steal_rate_per_s from this
-            tel.metrics.counter("wq_steals_ok").inc()
+            ctx.stats.add(wq_steals_ok=1)
         tel.flight_event("wq_steal", src=ctx.rank, dst=victim,
                          detail=f"{len(loot)} items")
         return True

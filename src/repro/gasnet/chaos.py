@@ -162,7 +162,7 @@ class ChaosConduit(Layer):
             if float(self._rng.random()) >= self.rma_fault_rate:
                 return None
             when = "pre" if float(self._rng.random()) < 0.5 else "post"
-        self._rank(src).stats.record_chaos_fault()
+        self._rank(src).stats.add(chaos_faults=1)
         self._log_fault("chaos_fault", src, dst, f"{kind}:{when}")
         return when
 
@@ -196,15 +196,15 @@ class ChaosConduit(Layer):
             if held_prev is not None:
                 to_deliver.append(held_prev)  # after its successor: reorder
         if dropped:
-            self._rank(src).stats.record_chaos_drop()
+            self._rank(src).stats.add(chaos_drops=1)
             self._log_fault("chaos_drop", src, dst, am.handler,
                             am.wire_bytes)
         if duplicated:
-            self._rank(src).stats.record_chaos_dup()
+            self._rank(src).stats.add(chaos_dups=1)
             self._log_fault("chaos_dup", src, dst, am.handler,
                             am.wire_bytes)
         if held_now:
-            self._rank(src).stats.record_chaos_reorder()
+            self._rank(src).stats.add(chaos_reorders=1)
             self._log_fault("chaos_reorder", src, dst, am.handler,
                             am.wire_bytes)
         for m in to_deliver:

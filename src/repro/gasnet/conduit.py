@@ -123,9 +123,11 @@ class Conduit(abc.ABC):
 
         rank = self._rank(src)
         frame = encode_am(am, rank.telemetry)
-        rank.stats.record_am_wire(
-            frame.nbytes, frame.used_pickle, frame.has_refs,
-            am.is_reply)
+        pickled = int(frame.used_pickle)
+        rank.stats.add(ams_sent=1, am_bytes=frame.nbytes,
+                       replies_sent=int(am.is_reply), wire_frames=1,
+                       wire_fixed=1 - pickled, pickle_fallbacks=pickled,
+                       wire_byref=int(frame.has_refs))
         return frame
 
     def deliver_encoded(self, src: int, dst: int,

@@ -135,12 +135,13 @@ _FRAME_HDR1 = struct.Struct("<BIII")
 _DEF_HDR = struct.Struct("<HH")
 _U16 = struct.Struct("<H")
 _U64 = struct.Struct("<Q")
-_U32 = struct.Struct("<I")
 _NESTED_META = 20  # _5I splice prefix before a nested frame's ctrl
 
 _RECV_CHUNK = 1 << 18     # socket-path buffered read size
 _IOV_BATCH = 128          # spans per sendmsg (stay far under IOV_MAX)
 _PARKED_STRIDE = 64       # one cache line per receiver parked flag
+#: Index stride of the parked flags in the block's leading u32 view.
+_FLAG_STRIDE = _PARKED_STRIDE // 4
 
 _fabric_ids = itertools.count(1)
 
@@ -381,10 +382,6 @@ class ProcFabric:
         self.agreed_handlers = len(_handler_names)
 
     # -- ring layout -----------------------------------------------------
-    def parked_off(self, rank: int) -> int:
-        """Offset of ``rank``'s receiver parked flag in the ring block."""
-        return rank * _PARKED_STRIDE
-
     def ring_region(self, src: int, dst: int) -> int:
         """Base offset of the directed ``src -> dst`` ring region."""
         idx = src * (self.n_ranks - 1) + (dst if dst < src else dst - 1)
@@ -536,7 +533,10 @@ class ProcConduit(SegmentRma, Conduit):
         if self._ring_on:
             spec = fabric.ring_spec
             mv = fabric.ring_shm.buf
-            self._ring_mv = mv
+            # Parked flags are read and written through this u32 view:
+            # one aligned 4-byte access each (see repro.gasnet.ring on
+            # why struct.pack_into would let a peer read a torn value).
+            self._parked = mv[:fabric.n_ranks * _PARKED_STRIDE].cast("I")
             self._prod = {p: RingProducer(mv, spec,
                                           fabric.ring_region(rank, p))
                           for p in peers}
@@ -557,7 +557,7 @@ class ProcConduit(SegmentRma, Conduit):
             # publishes through shared memory with no syscall at all.
             self._poller_active = False
             self._recv_parked = False
-            self._parked_off = fabric.parked_off(rank)
+            self._flag = rank * _FLAG_STRIDE
             self._door_r = fabric.doorbells[rank][0]
             self._door_w = {p: fabric.doorbells[p][1] for p in peers}
             # Adaptive-progress knobs.  On a single core a spinning
@@ -625,6 +625,12 @@ class ProcConduit(SegmentRma, Conduit):
         if t is not None:
             t.join(timeout=5.0)
             self._recv_thread = None
+        if self._ring_on and not (t is not None and t.is_alive()):
+            # No thread touches the rings any more: drop the views so
+            # the block's SharedMemory.close() can succeed.
+            for end in (*self._prod.values(), *self._cons.values()):
+                end.release()
+            self._parked.release()
         for s in self._socks.values():
             try:
                 s.close()
@@ -886,7 +892,7 @@ class ProcConduit(SegmentRma, Conduit):
             # Ring full: the receiver is behind (or gone).  Escalate
             # spin -> yield -> sleep while watching for peer death.
             if stats is not None:
-                stats.record_ring_backoff()
+                stats.add(wire_ring_full_backoffs=1)
             if self._closing:
                 return
             world = self.world
@@ -915,18 +921,19 @@ class ProcConduit(SegmentRma, Conduit):
                 try:
                     os.write(self._door_w[dst], b"\1")
                     if stats is not None:
-                        stats.record_ring_doorbell()
+                        stats.add(wire_ring_doorbells=1)
                 except (OSError, TypeError):
                     pass  # full pipe / torn-down peer: wakeups pending
             if stats is not None:
-                stats.record_ring_flush(slots, frames, spilled)
+                stats.add(wire_ring_slots=slots, wire_ring_frames=frames,
+                          wire_ring_agg_frames=frames if frames > 1 else 0,
+                          wire_ring_spills=int(spilled))
             if tel is not None and tel.full:
                 tel.record_latency("ring_flush", time.perf_counter() - t0)
                 tel.record_value("ring_slot_frames", frames, "frames")
 
     def _peer_parked(self, dst: int) -> bool:
-        return _U32.unpack_from(self._ring_mv,
-                                self.fabric.parked_off(dst))[0] != 0
+        return self._parked[dst * _FLAG_STRIDE] != 0
 
     # -- receive side ----------------------------------------------------
     def _feed(self, peer: int, chunk) -> None:
@@ -1006,7 +1013,7 @@ class ProcConduit(SegmentRma, Conduit):
         budget = self._poll_yields if misses <= self._poll_idle_limit else 0
         if budget and not self._poller_active:
             self._poller_active = True
-            _U32.pack_into(self._ring_mv, self._parked_off, 0)
+            self._parked[self._flag] = 0
         lock = self._cons_lock
         n = 0
         while True:
@@ -1030,14 +1037,15 @@ class ProcConduit(SegmentRma, Conduit):
         if self._poller_active and self._poll_misses > self._poll_idle_limit:
             self._poller_active = False
             if self._recv_parked:
-                _U32.pack_into(self._ring_mv, self._parked_off, 1)
+                self._parked[self._flag] = 1
         return False
 
     def _recv_main_ring(self) -> None:
         """Adaptive ring progress loop: drain every inbound ring; on
         idle, spin a bounded budget, then yield the GIL
         (``sched_yield``-style), then park on the doorbell pipe."""
-        mv = self._ring_mv
+        parked = self._parked
+        flag = self._flag
         cons = list(self._cons.items())
         spin_budget = self._spin
         yield_budget = self._yields
@@ -1066,16 +1074,16 @@ class ProcConduit(SegmentRma, Conduit):
                 self._sweep_pending(force=True)
                 self._recv_parked = True
                 if not self._poller_active:
-                    _U32.pack_into(mv, self._parked_off, 1)
+                    parked[flag] = 1
                 if any(c.pending() for _p, c in cons):
                     self._recv_parked = False
-                    _U32.pack_into(mv, self._parked_off, 0)
+                    parked[flag] = 0
                     spin = 0
                     continue
                 ready, _, _ = select.select(
                     [self._door_r, self._wake_r], [], [], park_s)
                 self._recv_parked = False
-                _U32.pack_into(mv, self._parked_off, 0)
+                parked[flag] = 0
                 spin = 0
                 if self._door_r in ready:
                     try:
@@ -1083,7 +1091,7 @@ class ProcConduit(SegmentRma, Conduit):
                     except OSError:
                         pass
                     if stats is not None:
-                        stats.record_ring_wakeup()
+                        stats.add(wire_ring_wakeups=1)
         except BaseException as exc:
             if not self._closing and self.world is not None:
                 self.world.fail(self.local_rank, exc)

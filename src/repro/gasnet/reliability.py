@@ -220,7 +220,7 @@ class ReliableConduit(Layer):
 
     def _fail_pending(self, world, e: _PendingAm,
                       exc: BaseException) -> None:
-        world.ranks[e.src].stats.record_dead_peer_fastfail()
+        world.ranks[e.src].stats.add(dead_peer_fastfails=1)
         world.control_event(
             "dead_peer_fastfail", e.src, e.dst,
             detail=f"{e.inner.handler} seq={e.seq}",
@@ -246,12 +246,12 @@ class ReliableConduit(Layer):
             # Replies are charged where the conduit sees the reply flag;
             # here the inner conduit only ever sees the data envelope,
             # so the counter must be fed before wrapping.
-            self.world.ranks[src].stats.record_reply()
+            self.world.ranks[src].stats.add(replies_sent=1)
         if dst in self._dead_peers:
             # Fail fast instead of queueing for a peer that can never
             # ack: token AMs get an immediate RankDead error reply,
             # fire-and-forget AMs are dropped.
-            self.world.ranks[src].stats.record_dead_peer_fastfail()
+            self.world.ranks[src].stats.add(dead_peer_fastfails=1)
             self.world.control_event("dead_peer_fastfail", src, dst,
                                      detail=am.handler)
             if am.token is not None and not am.is_reply:
@@ -290,7 +290,7 @@ class ReliableConduit(Layer):
         """Receiver side: ack, dedup, reorder into per-pair FIFO."""
         src, dst, seq = env.src_rank, ctx.rank, env.aux
         self._note_alive(src)
-        ctx.stats.record_ack()
+        ctx.stats.add(acks_sent=1)
         try:
             self._inner.send_am(dst, src, _control_am(
                 "__rel_ack__", dst, aux=seq
@@ -302,7 +302,7 @@ class ReliableConduit(Layer):
             nxt = self._rx_next.get(key, 0)
             buf = self._rx_buf.setdefault(key, {})
             if seq < nxt or seq in buf:
-                ctx.stats.record_dup_am()
+                ctx.stats.add(dup_ams=1)
                 self.world.control_event("dup_suppressed", src, dst,
                                          detail=f"seq={seq}")
                 return
@@ -355,7 +355,7 @@ class ReliableConduit(Layer):
             rto = min(cfg.ack_timeout * cfg.backoff ** e.attempts,
                       cfg.rto_max)
             e.next_at = now + rto * self._jitter()
-            world.ranks[e.src].stats.record_am_retransmit()
+            world.ranks[e.src].stats.add(am_retransmits=1)
             self.world.control_event(
                 "retransmit", e.src, e.dst, e.env.wire_bytes,
                 detail=f"{e.inner.handler} seq={e.seq} try={e.attempts}",
@@ -387,7 +387,7 @@ class ReliableConduit(Layer):
     def _expire(self, world, e: _PendingAm) -> None:
         """An AM exhausted its deadline/retry budget: surface CommTimeout
         on the initiator (via its reply future when there is one)."""
-        world.ranks[e.src].stats.record_op_timeout()
+        world.ranks[e.src].stats.add(op_timeouts=1)
         diag = (
             f"reliable conduit: AM {e.inner.handler!r} "
             f"{e.src}->{e.dst} seq {e.seq} still unacked after "
@@ -415,7 +415,7 @@ class ReliableConduit(Layer):
             for j in range(world.n_ranks):
                 if i == j or j in self._dead_peers:
                     continue
-                world.ranks[i].stats.record_heartbeat()
+                world.ranks[i].stats.add(heartbeats_sent=1)
                 try:
                     self._inner.send_am(i, j, _control_am(
                         "__rel_ping__", i
@@ -476,12 +476,12 @@ class ReliableConduit(Layer):
                 return attempt_fn()
             except TransientCommError as exc:
                 attempts += 1
-                self.world.ranks[src].stats.record_rma_retry()
+                self.world.ranks[src].stats.add(rma_retries=1)
                 self.world.control_event("rma_retry", src, dst,
                                          detail=f"{what} try={attempts}")
                 now = time.monotonic()
                 if attempts > cfg.max_retries or now >= deadline:
-                    self.world.ranks[src].stats.record_op_timeout()
+                    self.world.ranks[src].stats.add(op_timeouts=1)
                     raise CommTimeout(
                         f"reliable conduit: {what} {src}->{dst} failed "
                         f"after {attempts} retries "

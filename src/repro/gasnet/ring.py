@@ -22,35 +22,41 @@ byte stream as ``inline bytes + spill bytes`` per slot, in slot order,
 so a message larger than one slot simply spans several slots — no size
 limit, and FIFO is structural.
 
-The cursors are monotonically increasing 64-bit counters written with
-``struct.pack_into`` at 64-byte strides (their own cache lines).  Each
-counter has exactly one writer (SPSC), so an aligned 8-byte store is
-"atomic enough": the reader may observe a stale value, never a torn
-in-between one on the platforms CPython runs ranks on.  The spill region
-is a bump allocator over the same discipline: the producer only ever
-allocates contiguous tail room (a chunk shrinks rather than wraps), and
-the consumer releases bytes in allocation order because slot consumption
-is FIFO.
+The cursors are monotonically increasing 64-bit counters at 64-byte
+strides (their own cache lines), and each has exactly one writer (SPSC).
+Every access goes through one ``memoryview.cast("Q")`` view of the
+control block, which CPython turns into a single aligned 8-byte load or
+store, so the other process may observe a stale cursor but never a torn
+one.  (``struct.pack_into`` is not safe here: it zero-fills its target
+before storing, so a concurrent reader can see the cursor as 0 — the
+consumer then re-reads a stale slot and skips a live one.)  Regions are
+sized in whole cache lines so every region base, and with it every
+cursor, stays aligned.  The spill region is a bump allocator over the
+same discipline: the producer only ever allocates contiguous tail room
+(a chunk shrinks rather than wraps), and the consumer releases bytes in
+allocation order because slot consumption is FIFO.
 
 The classes operate on any writable buffer (a ``memoryview`` of a
 ``multiprocessing.shared_memory`` block in production, a plain
-``bytearray`` in unit tests).
+``bytearray`` in unit tests).  They hold views of it until
+:meth:`RingProducer.release` / :meth:`RingConsumer.release`, which must
+come before the block's ``SharedMemory.close()``.
 """
 
 from __future__ import annotations
 
 import struct
 
-_U64 = struct.Struct("<Q")
 SLOT_HDR = struct.Struct("<IIQ")  # inline_len, spill_len, spill_off
 
-#: Control-cursor offsets within a region (64-byte strides: one cache
-#: line per single-writer counter).
-_TAIL_OFF = 0
-_HEAD_OFF = 64
-_ALLOC_OFF = 128
-_FREE_OFF = 192
+#: Control-cursor indexes into a region's u64 control view (64-byte
+#: strides: one cache line per single-writer counter).
+_TAIL = 0
+_HEAD = 8
+_ALLOC = 16
+_FREE = 24
 CTRL_BYTES = 256
+_LINE = 64
 
 
 class RingSpec:
@@ -72,7 +78,8 @@ class RingSpec:
         self.slot_bytes = slot_bytes
         self.spill_bytes = spill_bytes
         self.inline_cap = slot_bytes - SLOT_HDR.size
-        self.region_bytes = CTRL_BYTES + slots * slot_bytes + spill_bytes
+        raw = CTRL_BYTES + slots * slot_bytes + spill_bytes
+        self.region_bytes = -(-raw // _LINE) * _LINE
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"RingSpec(slots={self.slots}, slot_bytes={self.slot_bytes},"
@@ -87,31 +94,34 @@ class RingProducer:
     only *reads* the consumer's cursors.
     """
 
-    __slots__ = ("_mv", "_spec", "_base", "_slot0", "_spill0",
+    __slots__ = ("_mv", "_ctl", "_spec", "_slot0", "_spill0",
                  "_tail", "_alloc", "last_spill")
 
     def __init__(self, buf, spec: RingSpec, base: int = 0):
         self._mv = memoryview(buf)
+        self._ctl = self._mv[base:base + CTRL_BYTES].cast("Q")
         self._spec = spec
-        self._base = base
         self._slot0 = base + CTRL_BYTES
         self._spill0 = base + CTRL_BYTES + spec.slots * spec.slot_bytes
         # The region is zero-initialized at creation; cache our own
         # cursors locally (we are their only writer).
-        self._tail = _U64.unpack_from(self._mv, base + _TAIL_OFF)[0]
-        self._alloc = _U64.unpack_from(self._mv, base + _ALLOC_OFF)[0]
+        self._tail = self._ctl[_TAIL]
+        self._alloc = self._ctl[_ALLOC]
         #: Spill bytes placed by the most recent successful try_emit
         #: (telemetry reads this; 0 for a purely inline slot).
         self.last_spill = 0
 
     # -- introspection (tests, backpressure probes) ----------------------
     def free_slots(self) -> int:
-        head = _U64.unpack_from(self._mv, self._base + _HEAD_OFF)[0]
-        return self._spec.slots - (self._tail - head)
+        return self._spec.slots - (self._tail - self._ctl[_HEAD])
 
     def spill_in_use(self) -> int:
-        freed = _U64.unpack_from(self._mv, self._base + _FREE_OFF)[0]
-        return self._alloc - freed
+        return self._alloc - self._ctl[_FREE]
+
+    def release(self) -> None:
+        """Drop this end's views of the buffer."""
+        self._ctl.release()
+        self._mv.release()
 
     def try_emit(self, data, off: int) -> int:
         """Publish one slot carrying bytes of ``data`` starting at
@@ -125,8 +135,8 @@ class RingProducer:
         """
         spec = self._spec
         mv = self._mv
-        head = _U64.unpack_from(mv, self._base + _HEAD_OFF)[0]
-        if self._tail - head >= spec.slots:
+        ctl = self._ctl
+        if self._tail - ctl[_HEAD] >= spec.slots:
             return 0
         remaining = len(data) - off
         inline = remaining if remaining < spec.inline_cap else spec.inline_cap
@@ -134,8 +144,7 @@ class RingProducer:
         spill_len = 0
         spill_off = 0
         if spill_need > 0 and spec.spill_bytes:
-            freed = _U64.unpack_from(mv, self._base + _FREE_OFF)[0]
-            free = spec.spill_bytes - (self._alloc - freed)
+            free = spec.spill_bytes - (self._alloc - ctl[_FREE])
             pos = self._alloc % spec.spill_bytes
             contig = spec.spill_bytes - pos
             spill_len = min(spill_need, free, contig)
@@ -145,13 +154,13 @@ class RingProducer:
                 src0 = off + inline
                 mv[dst0:dst0 + spill_len] = data[src0:src0 + spill_len]
                 self._alloc += spill_len
-                _U64.pack_into(mv, self._base + _ALLOC_OFF, self._alloc)
+                ctl[_ALLOC] = self._alloc
         slot = self._slot0 + (self._tail % spec.slots) * spec.slot_bytes
         SLOT_HDR.pack_into(mv, slot, inline, spill_len, spill_off)
         body = slot + SLOT_HDR.size
         mv[body:body + inline] = data[off:off + inline]
         self._tail += 1
-        _U64.pack_into(mv, self._base + _TAIL_OFF, self._tail)
+        ctl[_TAIL] = self._tail
         self.last_spill = spill_len
         return inline + spill_len
 
@@ -159,30 +168,34 @@ class RingProducer:
 class RingConsumer:
     """The receiving side of one directed ring (single consumer)."""
 
-    __slots__ = ("_mv", "_spec", "_base", "_slot0", "_spill0",
+    __slots__ = ("_mv", "_ctl", "_spec", "_slot0", "_spill0",
                  "_head", "_freed")
 
     def __init__(self, buf, spec: RingSpec, base: int = 0):
         self._mv = memoryview(buf)
+        self._ctl = self._mv[base:base + CTRL_BYTES].cast("Q")
         self._spec = spec
-        self._base = base
         self._slot0 = base + CTRL_BYTES
         self._spill0 = base + CTRL_BYTES + spec.slots * spec.slot_bytes
-        self._head = _U64.unpack_from(self._mv, base + _HEAD_OFF)[0]
-        self._freed = _U64.unpack_from(self._mv, base + _FREE_OFF)[0]
+        self._head = self._ctl[_HEAD]
+        self._freed = self._ctl[_FREE]
 
     def pending(self) -> bool:
         """Whether at least one unconsumed slot is published."""
-        tail = _U64.unpack_from(self._mv, self._base + _TAIL_OFF)[0]
-        return tail != self._head
+        return self._ctl[_TAIL] != self._head
+
+    def release(self) -> None:
+        """Drop this end's views of the buffer."""
+        self._ctl.release()
+        self._mv.release()
 
     def try_recv(self):
         """Consume one slot; returns its chunk as a ``bytearray`` (the
         next piece of the pair's byte stream) or ``None`` when empty."""
         spec = self._spec
         mv = self._mv
-        tail = _U64.unpack_from(mv, self._base + _TAIL_OFF)[0]
-        if tail == self._head:
+        ctl = self._ctl
+        if ctl[_TAIL] == self._head:
             return None
         slot = self._slot0 + (self._head % spec.slots) * spec.slot_bytes
         inline, spill_len, spill_off = SLOT_HDR.unpack_from(mv, slot)
@@ -196,8 +209,8 @@ class RingConsumer:
         # (allocation order == consumption order, so a running total is
         # an exact free cursor).
         self._head += 1
-        _U64.pack_into(mv, self._base + _HEAD_OFF, self._head)
+        ctl[_HEAD] = self._head
         if spill_len:
             self._freed += spill_len
-            _U64.pack_into(mv, self._base + _FREE_OFF, self._freed)
+            ctl[_FREE] = self._freed
         return out

@@ -13,7 +13,7 @@ import numpy as np
 def put(ctx, dst_rank: int, offset: int, data: np.ndarray) -> None:
     """Write ``data`` to (``dst_rank``, ``offset``)."""
     if dst_rank == ctx.rank:
-        ctx.stats.record_local()
+        ctx.stats.add(local_accesses=1)
         ctx.segment.typed_write(offset, data)
     else:
         ctx.world.conduit.rma_put(ctx.rank, dst_rank, offset, data)
@@ -28,7 +28,7 @@ def get(ctx, dst_rank: int, offset: int,
     zero-copy owner-side access.
     """
     if dst_rank == ctx.rank:
-        ctx.stats.record_local()
+        ctx.stats.add(local_accesses=1)
         return ctx.segment.typed_read(offset, dtype, count)
     return ctx.world.conduit.rma_get(ctx.rank, dst_rank, offset, dtype, count)
 
@@ -40,7 +40,7 @@ def atomic(ctx, dst_rank: int, offset: int, dtype: np.dtype, op, operand):
     segment lock (models NIC-side atomics).
     """
     if dst_rank == ctx.rank:
-        ctx.stats.record_local()
+        ctx.stats.add(local_accesses=1)
         return ctx.segment.atomic_update(offset, dtype, op, operand)
     return ctx.world.conduit.rma_atomic(
         ctx.rank, dst_rank, offset, dtype, op, operand
@@ -61,7 +61,7 @@ def put_indexed(ctx, dst_rank: int, base: int, elem_offsets: np.ndarray,
     """Scatter ``data[k]`` to element offset ``elem_offsets[k]`` (relative
     to byte offset ``base``) in ``dst_rank``'s segment, as one operation."""
     if dst_rank == ctx.rank:
-        ctx.stats.record_local(np.asarray(elem_offsets).size)
+        ctx.stats.add(local_accesses=np.asarray(elem_offsets).size)
         ctx.segment.typed_write_indexed(base, elem_offsets, data)
     else:
         ctx.world.conduit.rma_put_indexed(
@@ -74,7 +74,7 @@ def get_indexed(ctx, dst_rank: int, base: int, dtype: np.dtype,
     """Gather the elements at ``elem_offsets`` from ``dst_rank``'s segment
     with one operation; returns an owned copy."""
     if dst_rank == ctx.rank:
-        ctx.stats.record_local(np.asarray(elem_offsets).size)
+        ctx.stats.add(local_accesses=np.asarray(elem_offsets).size)
         return ctx.segment.typed_read_indexed(base, dtype, elem_offsets)
     return ctx.world.conduit.rma_get_indexed(
         ctx.rank, dst_rank, base, dtype, elem_offsets
@@ -88,7 +88,7 @@ def atomic_batch(ctx, dst_rank: int, base: int, dtype: np.dtype,
     whole batch under a single target-lock acquisition on capable
     conduits.  Returns old values when ``return_old`` is true."""
     if dst_rank == ctx.rank:
-        ctx.stats.record_local(np.asarray(elem_offsets).size)
+        ctx.stats.add(local_accesses=np.asarray(elem_offsets).size)
         return ctx.segment.atomic_batch_update(
             base, dtype, elem_offsets, op, operands, return_old
         )

@@ -33,29 +33,31 @@ class SegmentRma:
                 data: np.ndarray) -> None:
         target = self._rank(dst)
         raw = np.ascontiguousarray(data)
-        self._rank(src).stats.record_put(raw.nbytes)
+        self._rank(src).stats.add(puts=1, put_bytes=raw.nbytes,
+                                  remote_accesses=1)
         target.segment.typed_write(offset, raw)
 
     def rma_get(self, src: int, dst: int, offset: int,
                 dtype: np.dtype, count: int) -> np.ndarray:
         target = self._rank(dst)
         out = target.segment.typed_read(offset, dtype, count)
-        self._rank(src).stats.record_get(out.nbytes)
+        self._rank(src).stats.add(gets=1, get_bytes=out.nbytes,
+                                  remote_accesses=1)
         return out
 
     def rma_atomic(self, src: int, dst: int, offset: int,
                    dtype: np.dtype, op, operand):
         target = self._rank(dst)
-        self._rank(src).stats.record_atomic()
+        self._rank(src).stats.add(atomics=1, remote_accesses=1)
         return target.segment.atomic_update(offset, dtype, op, operand)
 
     def rma_put_indexed(self, src: int, dst: int, base: int,
                         elem_offsets: np.ndarray, data: np.ndarray) -> None:
         target = self._rank(dst)
         raw = np.ascontiguousarray(data)
-        self._rank(src).stats.record_put_indexed(
-            np.asarray(elem_offsets).size, raw.nbytes
-        )
+        n = np.asarray(elem_offsets).size
+        self._rank(src).stats.add(puts_indexed=1, put_bytes=raw.nbytes,
+                                  batched_elements=n, remote_accesses=n)
         target.segment.typed_write_indexed(base, elem_offsets, raw)
 
     def rma_get_indexed(self, src: int, dst: int, base: int,
@@ -63,16 +65,18 @@ class SegmentRma:
                         ) -> np.ndarray:
         target = self._rank(dst)
         out = target.segment.typed_read_indexed(base, dtype, elem_offsets)
-        self._rank(src).stats.record_get_indexed(out.size, out.nbytes)
+        self._rank(src).stats.add(gets_indexed=1, get_bytes=out.nbytes,
+                                  batched_elements=out.size,
+                                  remote_accesses=out.size)
         return out
 
     def rma_atomic_batch(self, src: int, dst: int, base: int,
                          dtype: np.dtype, elem_offsets: np.ndarray,
                          op, operands, return_old: bool = False):
         target = self._rank(dst)
-        self._rank(src).stats.record_atomic_batch(
-            np.asarray(elem_offsets).size
-        )
+        n = np.asarray(elem_offsets).size
+        self._rank(src).stats.add(atomic_batches=1, batched_elements=n,
+                                  remote_accesses=n)
         return target.segment.atomic_batch_update(
             base, dtype, elem_offsets, op, operands, return_old
         )

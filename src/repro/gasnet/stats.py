@@ -1,4 +1,4 @@
-"""Per-rank communication counters.
+"""Per-rank communication counters — the runtime's one counter registry.
 
 Every conduit operation is recorded here.  The counters serve three
 purposes:
@@ -7,328 +7,93 @@ purposes:
    issues exactly six messages per rank per timestep);
 2. :mod:`repro.sim.calibrate` converts measured per-op software overheads
    into machine-model parameters;
-3. the bench harness reports traffic alongside timings.
+3. the bench harness and :func:`repro.telemetry.metrics_reduce` report
+   traffic alongside timings.
+
+Each counter is declared once, by name, in :data:`COUNTERS`.  Call sites
+bump counters with ``ctx.stats.add(puts=1, put_bytes=n, ...)``, and
+``snapshot``/``reset``/``aggregate`` iterate the table, so adding a
+counter means adding one name to :data:`COUNTERS`.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 
-
-@dataclass
-class CommStats:
-    """Mutable counters for one rank. Thread-safe via an internal lock."""
-
-    puts: int = 0
-    put_bytes: int = 0
-    gets: int = 0
-    get_bytes: int = 0
-    atomics: int = 0
-    # Batched (indexed) RMA: one conduit op covering many elements.
-    puts_indexed: int = 0
-    gets_indexed: int = 0
-    atomic_batches: int = 0
-    batched_elements: int = 0
-    ams_sent: int = 0
-    am_bytes: int = 0
-    ams_handled: int = 0
-    replies_sent: int = 0
-    barriers: int = 0
-    collectives: int = 0
+COUNTERS = (
+    # One-sided RMA.  Batched (indexed) ops count once as a conduit op
+    # but per element in batched_elements and remote_accesses, so
+    # access-locality metrics (e.g. GUPS remote_fraction) stay
+    # comparable across batched and scalar paths.
+    "puts", "put_bytes", "gets", "get_bytes", "atomics",
+    "puts_indexed", "gets_indexed", "atomic_batches", "batched_elements",
+    # Active messages (replies_sent is a subset of ams_sent).
+    "ams_sent", "am_bytes", "ams_handled", "replies_sent",
+    "barriers", "collectives",
     # Tree-collectives engine (repro.core.coll_engine): point-to-point
     # AMs issued on behalf of collectives (subset of ams_sent).
-    coll_msgs: int = 0
-    local_accesses: int = 0
-    remote_accesses: int = 0
+    "coll_msgs",
+    "local_accesses", "remote_accesses",
     # Reliability layer (repro.gasnet.reliability): retries, duplicate
     # suppression, acks, deadline expiries, liveness probes.
-    am_retransmits: int = 0
-    dup_ams: int = 0
-    acks_sent: int = 0
-    rma_retries: int = 0
-    op_timeouts: int = 0
-    stale_replies: int = 0
-    heartbeats_sent: int = 0
+    "am_retransmits", "dup_ams", "acks_sent", "rma_retries",
+    "op_timeouts", "stale_replies", "heartbeats_sent",
     # Chaos conduit (repro.gasnet.chaos): injected failures.
-    chaos_drops: int = 0
-    chaos_dups: int = 0
-    chaos_reorders: int = 0
-    chaos_faults: int = 0
+    "chaos_drops", "chaos_dups", "chaos_reorders", "chaos_faults",
     # Distributed containers (repro.containers): per-key op counts and
-    # the multi-op coalescing/caching counters.
-    kv_gets: int = 0
-    kv_puts: int = 0
-    kv_deletes: int = 0
-    kv_updates: int = 0
-    kv_multi_ops: int = 0
-    kv_batched_keys: int = 0
-    kv_cache_hits: int = 0
-    kv_cache_misses: int = 0
+    # the multi-op coalescing/caching counters.  kv_multi_ops counts the
+    # owner-targeted AMs that multi_get/multi_put coalesced their
+    # kv_batched_keys remote keys into.
+    "kv_gets", "kv_puts", "kv_deletes", "kv_updates",
+    "kv_multi_ops", "kv_batched_keys", "kv_cache_hits", "kv_cache_misses",
     # Replication / failover (repro.containers.hashmap + reliability):
     # backup-log records shipped, client-side failovers, owner-side
     # backup promotions, reads served from a replica, live shard
     # migrations, and sends refused because the peer is already dead.
-    kv_repl_records: int = 0
-    kv_failovers: int = 0
-    kv_promotions: int = 0
-    kv_replica_reads: int = 0
-    kv_migrations: int = 0
-    dead_peer_fastfails: int = 0
+    "kv_repl_records", "kv_failovers", "kv_promotions", "kv_replica_reads",
+    "kv_migrations", "dead_peer_fastfails",
     # Wire layer (repro.gasnet.wire): frames encoded, how many stayed on
     # the fixed-layout/struct fast path vs. fell back to pickle, and how
     # many carried by-reference (unserializable) objects.
-    wire_frames: int = 0
-    wire_fixed: int = 0
-    pickle_fallbacks: int = 0
-    wire_byref: int = 0
+    "wire_frames", "wire_fixed", "pickle_fallbacks", "wire_byref",
     # Shared-memory ring transport (repro.gasnet.proc, ring mode): slots
     # published, frames carried, frames that rode an aggregated flush
     # (coalesced with at least one other frame), flushes that used the
     # OOB spill region, full-ring backoff iterations on the sender,
     # doorbells rung at parked receivers, and receiver doorbell wakeups.
-    wire_ring_slots: int = 0
-    wire_ring_frames: int = 0
-    wire_ring_agg_frames: int = 0
-    wire_ring_spills: int = 0
-    wire_ring_full_backoffs: int = 0
-    wire_ring_doorbells: int = 0
-    wire_ring_wakeups: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    "wire_ring_slots", "wire_ring_frames", "wire_ring_agg_frames",
+    "wire_ring_spills", "wire_ring_full_backoffs", "wire_ring_doorbells",
+    "wire_ring_wakeups",
+    # Work-stealing queue (repro.core.workqueue), counted while telemetry
+    # is on: steal requests sent, and steals that came back with loot.
+    "wq_steals_attempted", "wq_steals_ok",
+    # Straggler watchdog (repro.telemetry.metrics): in-flight AMs
+    # flagged as slow_op before they timed out.
+    "slow_ops_flagged",
+)
 
-    def record_put(self, nbytes: int) -> None:
-        with self._lock:
-            self.puts += 1
-            self.put_bytes += nbytes
-            self.remote_accesses += 1
 
-    def record_get(self, nbytes: int) -> None:
-        with self._lock:
-            self.gets += 1
-            self.get_bytes += nbytes
-            self.remote_accesses += 1
+class CommStats:
+    """Mutable counters for one rank. Thread-safe via an internal lock."""
 
-    def record_atomic(self) -> None:
-        with self._lock:
-            self.atomics += 1
-            self.remote_accesses += 1
+    __slots__ = ("_counts", "_lock")
 
-    # Batched ops count once as a conduit operation but per-element as
-    # remote accesses, so access-locality metrics (e.g. GUPS
-    # remote_fraction) stay comparable across batched and scalar paths.
-    def record_put_indexed(self, count: int, nbytes: int) -> None:
-        with self._lock:
-            self.puts_indexed += 1
-            self.put_bytes += nbytes
-            self.batched_elements += count
-            self.remote_accesses += count
+    def __init__(self):
+        self._counts = dict.fromkeys(COUNTERS, 0)
+        self._lock = threading.Lock()
 
-    def record_get_indexed(self, count: int, nbytes: int) -> None:
+    def add(self, **deltas: int) -> None:
+        """Add each ``name=delta`` to its counter under one lock
+        round-trip.  An undeclared name raises :class:`KeyError`."""
+        counts = self._counts
         with self._lock:
-            self.gets_indexed += 1
-            self.get_bytes += nbytes
-            self.batched_elements += count
-            self.remote_accesses += count
-
-    def record_atomic_batch(self, count: int) -> None:
-        with self._lock:
-            self.atomic_batches += 1
-            self.batched_elements += count
-            self.remote_accesses += count
-
-    def record_am(self, nbytes: int) -> None:
-        with self._lock:
-            self.ams_sent += 1
-            self.am_bytes += nbytes
-
-    def record_am_handled(self) -> None:
-        with self._lock:
-            self.ams_handled += 1
-
-    def record_reply(self) -> None:
-        with self._lock:
-            self.replies_sent += 1
-
-    def record_barrier(self) -> None:
-        with self._lock:
-            self.barriers += 1
-
-    def record_collective(self) -> None:
-        with self._lock:
-            self.collectives += 1
-
-    def record_coll_msg(self) -> None:
-        with self._lock:
-            self.coll_msgs += 1
-
-    def record_local(self, count: int = 1) -> None:
-        with self._lock:
-            self.local_accesses += count
-
-    # -- reliability layer ------------------------------------------------
-    def record_am_retransmit(self) -> None:
-        with self._lock:
-            self.am_retransmits += 1
-
-    def record_dup_am(self) -> None:
-        with self._lock:
-            self.dup_ams += 1
-
-    def record_ack(self) -> None:
-        with self._lock:
-            self.acks_sent += 1
-
-    def record_rma_retry(self) -> None:
-        with self._lock:
-            self.rma_retries += 1
-
-    def record_op_timeout(self) -> None:
-        with self._lock:
-            self.op_timeouts += 1
-
-    def record_stale_reply(self) -> None:
-        with self._lock:
-            self.stale_replies += 1
-
-    def record_heartbeat(self) -> None:
-        with self._lock:
-            self.heartbeats_sent += 1
-
-    # -- chaos conduit ----------------------------------------------------
-    def record_chaos_drop(self, count: int = 1) -> None:
-        with self._lock:
-            self.chaos_drops += count
-
-    def record_chaos_dup(self) -> None:
-        with self._lock:
-            self.chaos_dups += 1
-
-    def record_chaos_reorder(self) -> None:
-        with self._lock:
-            self.chaos_reorders += 1
-
-    def record_chaos_fault(self) -> None:
-        with self._lock:
-            self.chaos_faults += 1
-
-    # -- distributed containers -------------------------------------------
-    def record_kv_get(self, count: int = 1) -> None:
-        with self._lock:
-            self.kv_gets += count
-
-    def record_kv_put(self, count: int = 1) -> None:
-        with self._lock:
-            self.kv_puts += count
-
-    def record_kv_delete(self, count: int = 1) -> None:
-        with self._lock:
-            self.kv_deletes += count
-
-    def record_kv_update(self) -> None:
-        with self._lock:
-            self.kv_updates += 1
-
-    def record_kv_multi(self, ams: int, nkeys: int) -> None:
-        """One ``multi_get``/``multi_put`` that coalesced ``nkeys``
-        remote keys into ``ams`` owner-targeted active messages."""
-        with self._lock:
-            self.kv_multi_ops += ams
-            self.kv_batched_keys += nkeys
-
-    def record_kv_cache(self, hit: bool) -> None:
-        with self._lock:
-            if hit:
-                self.kv_cache_hits += 1
-            else:
-                self.kv_cache_misses += 1
-
-    # -- replication / failover -------------------------------------------
-    def record_kv_repl(self, nrecords: int = 1) -> None:
-        with self._lock:
-            self.kv_repl_records += nrecords
-
-    def record_kv_failover(self) -> None:
-        with self._lock:
-            self.kv_failovers += 1
-
-    def record_kv_promotion(self) -> None:
-        with self._lock:
-            self.kv_promotions += 1
-
-    def record_kv_replica_read(self) -> None:
-        with self._lock:
-            self.kv_replica_reads += 1
-
-    def record_kv_migration(self) -> None:
-        with self._lock:
-            self.kv_migrations += 1
-
-    def record_dead_peer_fastfail(self) -> None:
-        with self._lock:
-            self.dead_peer_fastfails += 1
-
-    # -- wire layer --------------------------------------------------------
-    def record_wire(self, used_pickle: bool, by_ref: bool) -> None:
-        """One encoded frame; ``used_pickle`` when any part of it fell
-        back to pickle, ``by_ref`` when it carried by-reference objects
-        (shared-memory semantics, never serialized)."""
-        with self._lock:
-            self.wire_frames += 1
-            if used_pickle:
-                self.pickle_fallbacks += 1
-            else:
-                self.wire_fixed += 1
-            if by_ref:
-                self.wire_byref += 1
-
-    def record_am_wire(self, nbytes: int, used_pickle: bool,
-                       by_ref: bool, is_reply: bool = False) -> None:
-        """Fused :meth:`record_am` + :meth:`record_wire` (+
-        :meth:`record_reply` when the frame is a reply): one lock
-        round-trip on the per-message send path instead of two or
-        three."""
-        with self._lock:
-            self.ams_sent += 1
-            self.am_bytes += nbytes
-            if is_reply:
-                self.replies_sent += 1
-            self.wire_frames += 1
-            if used_pickle:
-                self.pickle_fallbacks += 1
-            else:
-                self.wire_fixed += 1
-            if by_ref:
-                self.wire_byref += 1
-
-    # -- shared-memory ring transport --------------------------------------
-    def record_ring_flush(self, slots: int, frames: int,
-                          spilled: bool) -> None:
-        """One published flush: ``slots`` ring slots carrying ``frames``
-        wire frames (frames > 1 means aggregation coalesced sends)."""
-        with self._lock:
-            self.wire_ring_slots += slots
-            self.wire_ring_frames += frames
-            if frames > 1:
-                self.wire_ring_agg_frames += frames
-            if spilled:
-                self.wire_ring_spills += 1
-
-    def record_ring_backoff(self) -> None:
-        with self._lock:
-            self.wire_ring_full_backoffs += 1
-
-    def record_ring_doorbell(self) -> None:
-        with self._lock:
-            self.wire_ring_doorbells += 1
-
-    def record_ring_wakeup(self) -> None:
-        with self._lock:
-            self.wire_ring_wakeups += 1
+            for name, n in deltas.items():
+                counts[name] += n
 
     # ------------------------------------------------------------------
-    # Derived properties read several counters that a concurrent
-    # record_* may be mid-update on, so they all go through snapshot()
-    # (one consistent locked copy) instead of reading fields directly.
+    # Derived properties read several counters that a concurrent add may
+    # be mid-update on, so they all go through snapshot() (one
+    # consistent locked copy) instead of reading counters one by one.
     @property
     def messages(self) -> int:
         """Total injected network operations (RMA + AMs + replies)."""
@@ -377,100 +142,17 @@ class CommStats:
         return s["put_bytes"] + s["get_bytes"] + s["am_bytes"]
 
     def snapshot(self) -> dict:
-        """An immutable copy of the counters (plain dict)."""
+        """A copy of every counter (a plain dict in :data:`COUNTERS`
+        order)."""
         with self._lock:
-            return {
-                "puts": self.puts,
-                "put_bytes": self.put_bytes,
-                "gets": self.gets,
-                "get_bytes": self.get_bytes,
-                "atomics": self.atomics,
-                "puts_indexed": self.puts_indexed,
-                "gets_indexed": self.gets_indexed,
-                "atomic_batches": self.atomic_batches,
-                "batched_elements": self.batched_elements,
-                "ams_sent": self.ams_sent,
-                "am_bytes": self.am_bytes,
-                "ams_handled": self.ams_handled,
-                "replies_sent": self.replies_sent,
-                "barriers": self.barriers,
-                "collectives": self.collectives,
-                "coll_msgs": self.coll_msgs,
-                "local_accesses": self.local_accesses,
-                "remote_accesses": self.remote_accesses,
-                "am_retransmits": self.am_retransmits,
-                "dup_ams": self.dup_ams,
-                "acks_sent": self.acks_sent,
-                "rma_retries": self.rma_retries,
-                "op_timeouts": self.op_timeouts,
-                "stale_replies": self.stale_replies,
-                "heartbeats_sent": self.heartbeats_sent,
-                "chaos_drops": self.chaos_drops,
-                "chaos_dups": self.chaos_dups,
-                "chaos_reorders": self.chaos_reorders,
-                "chaos_faults": self.chaos_faults,
-                "kv_gets": self.kv_gets,
-                "kv_puts": self.kv_puts,
-                "kv_deletes": self.kv_deletes,
-                "kv_updates": self.kv_updates,
-                "kv_multi_ops": self.kv_multi_ops,
-                "kv_batched_keys": self.kv_batched_keys,
-                "kv_cache_hits": self.kv_cache_hits,
-                "kv_cache_misses": self.kv_cache_misses,
-                "kv_repl_records": self.kv_repl_records,
-                "kv_failovers": self.kv_failovers,
-                "kv_promotions": self.kv_promotions,
-                "kv_replica_reads": self.kv_replica_reads,
-                "kv_migrations": self.kv_migrations,
-                "dead_peer_fastfails": self.dead_peer_fastfails,
-                "wire_frames": self.wire_frames,
-                "wire_fixed": self.wire_fixed,
-                "pickle_fallbacks": self.pickle_fallbacks,
-                "wire_byref": self.wire_byref,
-                "wire_ring_slots": self.wire_ring_slots,
-                "wire_ring_frames": self.wire_ring_frames,
-                "wire_ring_agg_frames": self.wire_ring_agg_frames,
-                "wire_ring_spills": self.wire_ring_spills,
-                "wire_ring_full_backoffs": self.wire_ring_full_backoffs,
-                "wire_ring_doorbells": self.wire_ring_doorbells,
-                "wire_ring_wakeups": self.wire_ring_wakeups,
-            }
+            return dict(self._counts)
 
     def reset(self) -> None:
         with self._lock:
-            self.puts = self.put_bytes = 0
-            self.gets = self.get_bytes = 0
-            self.atomics = 0
-            self.puts_indexed = self.gets_indexed = 0
-            self.atomic_batches = self.batched_elements = 0
-            self.ams_sent = self.am_bytes = 0
-            self.ams_handled = self.replies_sent = 0
-            self.barriers = self.collectives = self.coll_msgs = 0
-            self.local_accesses = self.remote_accesses = 0
-            self.am_retransmits = self.dup_ams = self.acks_sent = 0
-            self.rma_retries = self.op_timeouts = self.stale_replies = 0
-            self.heartbeats_sent = 0
-            self.chaos_drops = self.chaos_dups = 0
-            self.chaos_reorders = self.chaos_faults = 0
-            self.kv_gets = self.kv_puts = 0
-            self.kv_deletes = self.kv_updates = 0
-            self.kv_multi_ops = self.kv_batched_keys = 0
-            self.kv_cache_hits = self.kv_cache_misses = 0
-            self.kv_repl_records = self.kv_failovers = 0
-            self.kv_promotions = self.kv_replica_reads = 0
-            self.kv_migrations = self.dead_peer_fastfails = 0
-            self.wire_frames = self.wire_fixed = 0
-            self.pickle_fallbacks = self.wire_byref = 0
-            self.wire_ring_slots = self.wire_ring_frames = 0
-            self.wire_ring_agg_frames = self.wire_ring_spills = 0
-            self.wire_ring_full_backoffs = 0
-            self.wire_ring_doorbells = self.wire_ring_wakeups = 0
+            self._counts.update(dict.fromkeys(COUNTERS, 0))
 
 
 def aggregate(stats: list[CommStats]) -> dict:
     """Sum a list of per-rank snapshots into one dict."""
-    total: dict[str, int] = {}
-    for s in stats:
-        for k, v in s.snapshot().items():
-            total[k] = total.get(k, 0) + v
-    return total
+    snaps = [s.snapshot() for s in stats]
+    return {name: sum(s[name] for s in snaps) for name in COUNTERS}

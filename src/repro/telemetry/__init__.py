@@ -30,9 +30,7 @@ from repro.telemetry import tracing
 from repro.telemetry.flight import FlightEvent, FlightRecorder, merge_dump
 from repro.telemetry.histogram import LogHistogram
 from repro.telemetry.metrics import (
-    Counter,
     Gauge,
-    MetricsRegistry,
     MetricsSampler,
     finalize_snapshot,
     merge_snapshots,
@@ -61,9 +59,7 @@ __all__ = [
     "to_perfetto",
     "write_perfetto",
     "tracing",
-    "Counter",
     "Gauge",
-    "MetricsRegistry",
     "MetricsSampler",
     "rank_snapshot",
     "merge_snapshots",

@@ -2,9 +2,10 @@
 
 Three pieces, all feeding ROADMAP Open item 5 (self-tuning runtime):
 
-* a **typed per-rank registry** (:class:`MetricsRegistry`) of monotonic
-  :class:`Counter`\\ s and last-value :class:`Gauge`\\ s, living next to
-  the rank's mergeable ``LogHistogram``\\ s;
+* **per-rank state to reduce**: the rank's declared counters
+  (:class:`~repro.gasnet.stats.CommStats`, ``ctx.stats``), its
+  last-value :class:`Gauge`\\ s (``ctx.telemetry.gauge(name)``) and its
+  mergeable ``LogHistogram``\\ s;
 * a **collective reduction** — :func:`metrics_reduce` folds every
   rank's metrics snapshot over the tree-collectives engine itself
   (``allreduce`` with :func:`merge_snapshots` as the operator).  The
@@ -29,26 +30,7 @@ from typing import Any, Optional
 from repro.telemetry.histogram import LogHistogram
 
 
-# -- typed registry ----------------------------------------------------------
-class Counter:
-    """A monotonically increasing integer; cross-rank merge is ``+``."""
-
-    __slots__ = ("name", "_value", "_lock")
-
-    def __init__(self, name: str):
-        self.name = name
-        self._value = 0
-        self._lock = threading.Lock()
-
-    def inc(self, n: int = 1) -> None:
-        with self._lock:
-            self._value += n
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-
+# -- gauges ------------------------------------------------------------------
 class Gauge:
     """A point-in-time value; cross-rank merge keeps min/max/sum/n so
     cluster-level mean and extremes survive the reduction."""
@@ -84,38 +66,6 @@ class Gauge:
                     "sum": self._sum, "n": self._n}
 
 
-class MetricsRegistry:
-    """Get-or-create registry of named counters and gauges (one per
-    rank, hanging off ``ctx.telemetry.metrics``)."""
-
-    __slots__ = ("_counters", "_gauges", "_lock")
-
-    def __init__(self):
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._lock = threading.Lock()
-
-    def counter(self, name: str) -> Counter:
-        c = self._counters.get(name)
-        if c is None:
-            with self._lock:
-                c = self._counters.setdefault(name, Counter(name))
-        return c
-
-    def gauge(self, name: str) -> Gauge:
-        g = self._gauges.get(name)
-        if g is None:
-            with self._lock:
-                g = self._gauges.setdefault(name, Gauge(name))
-        return g
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            counters = {n: c.value for n, c in self._counters.items()}
-            gauges = {n: g.state() for n, g in self._gauges.items()}
-        return {"counters": counters, "gauges": gauges}
-
-
 # -- mergeable snapshots -----------------------------------------------------
 def _hist_state(h: LogHistogram) -> dict:
     """Raw mergeable state of one histogram: exact integers only, no
@@ -127,19 +77,15 @@ def _hist_state(h: LogHistogram) -> dict:
 
 
 def rank_snapshot(ctx) -> dict:
-    """One rank's full metrics snapshot: histograms (raw state),
-    CommStats counters, registry counters, and gauges."""
+    """One rank's full metrics snapshot: histograms (raw state), the
+    declared counters, and gauges."""
     tel = ctx.telemetry
-    counters = dict(ctx.stats.snapshot())
-    reg = tel.metrics.snapshot()
-    for name, v in reg["counters"].items():
-        counters[name] = counters.get(name, 0) + v
     return {
         "ranks": [ctx.rank],
         "histograms": {name: _hist_state(h)
                        for name, h in sorted(tel.histograms().items())},
-        "counters": counters,
-        "gauges": reg["gauges"],
+        "counters": ctx.stats.snapshot(),
+        "gauges": {name: g.state() for name, g in tel.gauges().items()},
     }
 
 
@@ -306,20 +252,21 @@ class MetricsSampler(threading.Thread):
             if local is not None and ctx.rank not in local:
                 continue  # proc backend: remote stubs have no metrics
             tel = ctx.telemetry
-            m = tel.metrics
             depth = len(ctx.task_queue)
             pending = len(ctx._pending)
             unacked = unacked_by_src.get(ctx.rank, 0)
             seg = ctx.segment._bytes_in_use
-            m.gauge("task_queue_depth").set(depth)
-            m.gauge("pending_replies").set(pending)
-            m.gauge("outstanding_retransmits").set(unacked)
-            m.gauge("segment_bytes_in_use").set(seg)
-            steals = m.counter("wq_steals_ok").value
+            tel.gauge("task_queue_depth").set(depth)
+            tel.gauge("pending_replies").set(pending)
+            tel.gauge("outstanding_retransmits").set(unacked)
+            tel.gauge("segment_bytes_in_use").set(seg)
+            steals = ctx.stats.snapshot()["wq_steals_ok"]
             prev = self._last_steals.get(ctx.rank, steals)
+            if steals < prev:  # ctx.stats.reset() since the last sample
+                prev = 0
             self._last_steals[ctx.rank] = steals
             if self.sample_period:
-                m.gauge("steal_rate_per_s").set(
+                tel.gauge("steal_rate_per_s").set(
                     int((steals - prev) / self.sample_period))
             tel.record_value("sampled_task_queue_depth", depth, "items")
             tel.record_value("sampled_pending_replies", pending, "items")
@@ -357,13 +304,13 @@ class MetricsSampler(threading.Thread):
                                 f"{age * 1e3:.1f}ms > deadline "
                                 f"{deadline * 1e3:.1f}ms"),
                         trace_id=trace_id)
-                    tel.metrics.counter("slow_ops_flagged").inc()
+                    ctx.stats.add(slow_ops_flagged=1)
             self._flagged = {k for k in self._flagged
                              if k[0] != ctx.rank or k in live}
 
 
 __all__ = [
-    "Counter", "Gauge", "MetricsRegistry", "MetricsSampler",
+    "Gauge", "MetricsSampler",
     "rank_snapshot", "merge_snapshots", "finalize_snapshot",
     "hist_from_state", "metrics_reduce",
 ]

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from repro.telemetry import tracing
 from repro.telemetry.flight import DEFAULT_CAPACITY, FlightRecorder, merge_dump
 from repro.telemetry.histogram import LogHistogram
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.metrics import Gauge
 
 MODES = ("off", "flight", "full")
 
@@ -111,7 +111,7 @@ class RankTelemetry:
 
     __slots__ = ("rank", "mode", "active", "full", "flight",
                  "_hist", "_hist_lock", "_spans", "_span_lock",
-                 "spans_dropped", "max_spans", "metrics", "_id_counter",
+                 "spans_dropped", "max_spans", "_gauges", "_id_counter",
                  "_id_lock")
 
     def __init__(self, rank: int, config: TelemetryConfig):
@@ -126,8 +126,7 @@ class RankTelemetry:
         self._span_lock = threading.Lock()
         self.spans_dropped = 0
         self.max_spans = config.max_spans
-        #: Typed counter/gauge registry (repro.telemetry.metrics).
-        self.metrics = MetricsRegistry()
+        self._gauges: dict[str, Gauge] = {}
         # Trace/span ids are rank-salted counter values, not random
         # bits, so fixed-seed runs reproduce identical ids.
         self._id_counter = 0
@@ -169,6 +168,18 @@ class RankTelemetry:
     def histograms(self) -> dict[str, LogHistogram]:
         with self._hist_lock:
             return dict(self._hist)
+
+    # -- gauges -----------------------------------------------------------
+    def gauge(self, name: str) -> Gauge:
+        """Get-or-create the named last-value gauge (stable across
+        calls).  Counters live in the rank's ``ctx.stats``."""
+        g = self._gauges.get(name)
+        if g is None:
+            g = self._gauges.setdefault(name, Gauge(name))
+        return g
+
+    def gauges(self) -> dict[str, Gauge]:
+        return dict(self._gauges)
 
     # -- flight recorder --------------------------------------------------
     def flight_event(self, kind: str, src: int = -1, dst: int = -1,

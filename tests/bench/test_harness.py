@@ -1,7 +1,12 @@
 """The figure/table harness end to end."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.bench import harness
 
 
@@ -57,3 +62,18 @@ def test_fig3_artifact(capsys):
     assert "local access branch" in out
     assert "remote access branch" in out
     assert "0 conduit ops" in out and "1 conduit op" in out
+
+
+def test_module_entry_point_has_no_runtime_warning():
+    """``python -m repro.bench.harness`` runs the module once: runpy's
+    "found in sys.modules" RuntimeWarning is promoted to an error."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    r = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning",
+         "-m", "repro.bench.harness", "table3"],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert r.returncode == 0, r.stderr
+    assert "Table III" in r.stdout

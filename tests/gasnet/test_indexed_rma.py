@@ -131,7 +131,7 @@ def test_smp_batches_count_once_per_target():
             assert s1["atomic_batches"] - s0["atomic_batches"] == 1
             assert s1["batched_elements"] - s0["batched_elements"] == 9
             assert stats.coalescing_ratio == pytest.approx(
-                stats.batched_elements / stats.batched_ops
+                stats.snapshot()["batched_elements"] / stats.batched_ops
             )
         repro.barrier()
         return True
@@ -141,14 +141,16 @@ def test_smp_batches_count_once_per_target():
 
 def test_stats_batched_counters_reset_and_aggregate():
     s = CommStats()
-    s.record_get_indexed(10, 80)
-    s.record_put_indexed(4, 32)
-    s.record_atomic_batch(6)
+    s.add(gets_indexed=1, get_bytes=80, batched_elements=10,
+          remote_accesses=10)
+    s.add(puts_indexed=1, put_bytes=32, batched_elements=4,
+          remote_accesses=4)
+    s.add(atomic_batches=1, batched_elements=6, remote_accesses=6)
     assert s.batched_ops == 3
-    assert s.batched_elements == 20
+    assert s.snapshot()["batched_elements"] == 20
     assert s.coalescing_ratio == pytest.approx(20 / 3)
     assert s.messages == 3
-    assert s.remote_accesses == 20
+    assert s.snapshot()["remote_accesses"] == 20
     snap = s.snapshot()
     assert snap["gets_indexed"] == 1 and snap["batched_elements"] == 20
     s.reset()

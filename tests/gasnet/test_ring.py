@@ -3,7 +3,9 @@
 Unit tests drive :class:`~repro.gasnet.ring.RingProducer` /
 :class:`~repro.gasnet.ring.RingConsumer` over a plain ``bytearray`` —
 the classes are buffer-agnostic, so the full slot/spill/backpressure
-contract is checkable without processes.  The SPMD tests then run the
+contract is checkable without processes.  A stress test then runs one
+ring across two processes over a real shared-memory block, where the
+cursors are read while the other side writes them.  The SPMD tests run the
 same machinery for real (``conduit="proc+ring"``): OOB spill under a
 deliberately tiny slot size, shutdown hygiene after a rank crash, and
 the ``wire_ring_*`` telemetry flowing through snapshot / reset /
@@ -13,7 +15,9 @@ aggregate / ``metrics_reduce``.
 import glob
 import multiprocessing
 import os
+import struct
 import time
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -143,14 +147,102 @@ def test_ring_spec_rejects_degenerate_geometry():
         RingSpec(slot_bytes=SLOT_HDR.size)
 
 
+# -- cross-process stress: exactly-once FIFO over real shared memory --------
+_REC_HDR = struct.Struct("<II")  # sequence number, payload length
+_PATTERN = bytes(range(256)) * 2
+_STRESS_RECORDS = 200_000
+_STRESS_DEADLINE_S = 10.0
+
+
+def _stress_record(seq: int) -> bytes:
+    """Record ``seq``: 8-104 bytes, so records cross the 48-byte inline
+    capacity of a 64-byte slot and ride the spill region."""
+    n = (seq * 7919) % 97
+    off = seq % 256
+    return _REC_HDR.pack(seq, n) + _PATTERN[off:off + n]
+
+
+def _stress_producer(shm, spec, n_records, deadline):
+    prod = RingProducer(shm.buf, spec)
+    for seq in range(n_records):
+        rec = _stress_record(seq)
+        off = 0
+        while off < len(rec):
+            k = prod.try_emit(rec, off)
+            if k:
+                off += k
+            elif time.monotonic() > deadline:
+                os._exit(2)
+            else:
+                os.sched_yield()
+    prod.release()
+
+
+def test_ring_cross_process_exactly_once_fifo():
+    """A forked producer streams numbered records through a tiny ring
+    in a real SharedMemory block while this process consumes.  Every
+    record must arrive exactly once, in order, byte for byte, within
+    the deadline.  The cursors are written by one process while the
+    other reads them, so this fails if a cursor read can be torn (a
+    torn tail replays a stale slot; a torn head lets the producer
+    overwrite a live one)."""
+    spec = RingSpec(slots=4, slot_bytes=64, spill_bytes=256)
+    shm = shared_memory.SharedMemory(create=True, size=spec.region_bytes)
+    cons = None
+    proc = None
+    try:
+        cons = RingConsumer(shm.buf, spec)
+        deadline = time.monotonic() + _STRESS_DEADLINE_S
+        proc = multiprocessing.get_context("fork").Process(
+            target=_stress_producer,
+            args=(shm, spec, _STRESS_RECORDS, deadline), daemon=True)
+        proc.start()
+        stream = bytearray()
+        pos = 0
+        expect = 0
+        while expect < _STRESS_RECORDS:
+            chunk = cons.try_recv()
+            if chunk is None:
+                assert time.monotonic() < deadline, (
+                    f"stalled after {expect} of {_STRESS_RECORDS} records")
+                os.sched_yield()
+                continue
+            stream += chunk
+            while len(stream) - pos >= _REC_HDR.size:
+                seq, n = _REC_HDR.unpack_from(stream, pos)
+                if len(stream) - pos < _REC_HDR.size + n:
+                    break
+                end = pos + _REC_HDR.size + n
+                assert stream[pos:end] == _stress_record(expect), (
+                    f"record {expect}: got seq {seq}, length {n}")
+                expect += 1
+                pos = end
+            if pos > 1 << 16:
+                del stream[:pos]
+                pos = 0
+        assert len(stream) == pos, "bytes past the last record"
+        assert cons.try_recv() is None
+        proc.join(timeout=5.0)
+        assert proc.exitcode == 0
+    finally:
+        if proc is not None and proc.is_alive():
+            proc.kill()
+            proc.join(timeout=5.0)
+        if cons is not None:
+            cons.release()
+        shm.close()
+        shm.unlink()
+
+
 # -- unit: wire_ring_* counter plumbing -------------------------------------
 def test_ring_counters_snapshot_reset_aggregate():
     s = CommStats()
-    s.record_ring_flush(slots=2, frames=3, spilled=True)
-    s.record_ring_flush(slots=1, frames=1, spilled=False)
-    s.record_ring_backoff()
-    s.record_ring_doorbell()
-    s.record_ring_wakeup()
+    s.add(wire_ring_slots=2, wire_ring_frames=3, wire_ring_agg_frames=3,
+          wire_ring_spills=1)
+    s.add(wire_ring_slots=1, wire_ring_frames=1)
+    s.add(wire_ring_full_backoffs=1)
+    s.add(wire_ring_doorbells=1)
+    s.add(wire_ring_wakeups=1)
     snap = s.snapshot()
     assert snap["wire_ring_slots"] == 3
     assert snap["wire_ring_frames"] == 4
@@ -160,7 +252,7 @@ def test_ring_counters_snapshot_reset_aggregate():
     assert snap["wire_ring_doorbells"] == 1
     assert snap["wire_ring_wakeups"] == 1
     other = CommStats()
-    other.record_ring_flush(slots=5, frames=5, spilled=False)
+    other.add(wire_ring_slots=5, wire_ring_frames=5, wire_ring_agg_frames=5)
     total = aggregate([s, other])
     assert total["wire_ring_slots"] == 8
     assert total["wire_ring_frames"] == 9

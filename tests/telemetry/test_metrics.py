@@ -1,4 +1,4 @@
-"""The cluster metrics plane: typed registry, order-independent
+"""The cluster metrics plane: counters and gauges, order-independent
 snapshot merging, the ``metrics_reduce`` collective, the background
 sampler, and the straggler watchdog.
 
@@ -19,21 +19,22 @@ from hypothesis import given, settings, strategies as st
 import repro
 from repro.core.world import current
 from repro.gasnet.am import am_handler
-from repro.gasnet.stats import CommStats, aggregate
+from repro.gasnet.stats import COUNTERS, CommStats, aggregate
 from repro.telemetry import (
-    Counter, Gauge, LogHistogram, MetricsRegistry, finalize_snapshot,
+    Gauge, LogHistogram, TelemetryConfig, finalize_snapshot,
     merge_snapshots, rank_snapshot,
 )
+from repro.telemetry.recorder import RankTelemetry
 from tests.conftest import run_spmd
 
 
 # ----------------------------------------------------------- registry
 
 def test_counter_and_gauge_basics():
-    c = Counter("c")
-    c.inc()
-    c.inc(4)
-    assert c.value == 5
+    c = CommStats()
+    c.add(wq_steals_ok=1)
+    c.add(wq_steals_ok=4)
+    assert c.snapshot()["wq_steals_ok"] == 5
     g = Gauge("g")
     for v in (3, -1, 7):
         g.set(v)
@@ -42,14 +43,13 @@ def test_counter_and_gauge_basics():
 
 
 def test_registry_interns_by_name():
-    reg = MetricsRegistry()
-    assert reg.counter("x") is reg.counter("x")
-    assert reg.gauge("y") is reg.gauge("y")
-    reg.counter("x").inc(2)
-    reg.gauge("y").set(5)
-    snap = reg.snapshot()
-    assert snap["counters"]["x"] == 2
-    assert snap["gauges"]["y"]["last"] == 5
+    """Gauges are get-or-create by name on the rank's telemetry; there
+    is no get-or-create for counters — every counter is declared in
+    :data:`~repro.gasnet.stats.COUNTERS`."""
+    tel = RankTelemetry(0, TelemetryConfig(mode="full"))
+    assert tel.gauge("y") is tel.gauge("y")
+    tel.gauge("y").set(5)
+    assert tel.gauges()["y"].state()["last"] == 5
 
 
 # ---------------------------------------- histogram merge (hypothesis)
@@ -114,16 +114,16 @@ def test_aggregate_sums_wire_and_failover_counters():
     through ``aggregate`` — a regression net for the metrics plane's
     counter source."""
     a, b = CommStats(), CommStats()
-    a.record_wire(used_pickle=False, by_ref=True)
-    a.record_wire(used_pickle=True, by_ref=False)
-    b.record_wire(used_pickle=False, by_ref=False)
-    a.record_kv_repl(3)
-    b.record_kv_repl(2)
-    a.record_kv_failover()
-    b.record_kv_promotion()
-    b.record_kv_migration()
-    a.record_am_retransmit()
-    b.record_dup_am()
+    a.add(wire_frames=1, wire_fixed=1, wire_byref=1)
+    a.add(wire_frames=1, pickle_fallbacks=1)
+    b.add(wire_frames=1, wire_fixed=1)
+    a.add(kv_repl_records=3)
+    b.add(kv_repl_records=2)
+    a.add(kv_failovers=1)
+    b.add(kv_promotions=1)
+    b.add(kv_migrations=1)
+    a.add(am_retransmits=1)
+    b.add(dup_ams=1)
     total = aggregate([a, b])
     assert total["wire_frames"] == 3
     assert total["wire_fixed"] == 2
@@ -153,8 +153,7 @@ def test_metrics_reduce_bit_identical_to_offline_merge():
         for i in range(10 + me):          # rank-skewed load
             m.put(f"mr{me}:{i}", i)
             m.get(f"mr{me}:{i}")
-        sa_ctx.telemetry.metrics.counter("my_ops").inc(10 + me)
-        sa_ctx.telemetry.metrics.gauge("my_rank").set(me)
+        sa_ctx.telemetry.gauge("my_rank").set(me)
         repro.barrier()
         # Stash the raw per-rank snapshot BEFORE the reduce; the
         # histograms keep filling with AM traffic during the collective
@@ -171,7 +170,7 @@ def test_metrics_reduce_bit_identical_to_offline_merge():
     for r, merged in enumerate(results):
         assert merged == offline, f"rank {r} diverged from offline fold"
     assert results[0]["ranks"] == [0, 1, 2, 3]
-    assert results[0]["counters"]["my_ops"] == sum(10 + r for r in range(4))
+    assert results[0]["counters"]["kv_puts"] == sum(10 + r for r in range(4))
     g = results[0]["gauges"]["my_rank"]
     assert (g["min"], g["max"], g["n"]) == (0, 3, 4)
     # derived stats exist and are plain floats (JSON-ready)
@@ -193,6 +192,35 @@ def test_metrics_reduce_default_snapshot_and_harness_shape():
         return True
 
     assert all(run_spmd(body, ranks=4, telemetry="full"))
+
+
+def test_absorbed_counters_reach_metrics_reduce():
+    """The work-queue steal counters and the watchdog's slow-op count
+    are declared counters: a skewed work-stealing run shows them in the
+    reduced cluster view, summed across ranks, equal to the queue's own
+    per-rank tallies."""
+    def body():
+        me = repro.myrank()
+        wq = repro.DistWorkQueue()
+        if me == 0:
+            wq.add_local(range(40))
+        repro.barrier()
+        while wq.get() is not None:
+            time.sleep(0.001)
+            wq.task_done()
+        attempted = repro.collectives.allreduce(wq.steals_attempted)
+        ok = repro.collectives.allreduce(wq.steals_successful)
+        merged = repro.current_world().metrics_reduce()
+        repro.barrier()
+        return attempted, ok, merged["counters"]
+
+    for attempted, ok, counters in run_spmd(body, ranks=4,
+                                            telemetry="flight"):
+        assert set(COUNTERS) <= set(counters)
+        assert attempted > 0
+        assert counters["wq_steals_attempted"] == attempted
+        assert counters["wq_steals_ok"] == ok
+        assert counters["slow_ops_flagged"] == 0
 
 
 # ------------------------------------------------- sampler + watchdog
@@ -230,7 +258,7 @@ def test_sampler_records_runtime_gauges():
     assert hists["sampled_task_queue_depth"].count > 0
     assert hists["sampled_pending_replies"].count > 0
     assert hists["sampled_segment_bytes"].count > 0
-    gauges = tel0.metrics.snapshot()["gauges"]
+    gauges = tel0.gauges()
     assert "segment_bytes_in_use" in gauges
     assert "steal_rate_per_s" in gauges
 
@@ -283,5 +311,4 @@ def test_watchdog_flags_slow_op_before_timeout():
     assert any("tar_pit" in ev.detail for ev in slow)
     assert any(ev.trace_id for ev in slow), \
         "slow_op events should carry the client op's trace id"
-    counters = world.telemetry.rank(0).metrics.snapshot()["counters"]
-    assert counters.get("slow_ops_flagged", 0) >= 1
+    assert world.ranks[0].stats.snapshot()["slow_ops_flagged"] >= 1
